@@ -19,9 +19,9 @@ service configurations:
 
 Asserted claims: family coalescing widens the mean batch by >= 2x,
 ragged packs actually ran, and every answer is *bit-identical* between
-the two policies.  Wall-clock speedup, coalesce widths, family span,
-and pad waste land in ``BENCH_ragged.json`` for the ``ragged-smoke``
-CI job to publish.
+the two policies.  Wall-clock speedup, coalesce widths and family span
+land in ``BENCH_ragged.json`` for the ``ragged-smoke`` CI job to
+publish.
 
 Environment knobs:
 
@@ -83,7 +83,6 @@ def run_policy(engine, requests, coalesce):
 def policy_stats(snapshot):
     occupancy = snapshot["histograms"]["service.batch_occupancy"]
     span = snapshot["histograms"].get("service.family_span", {})
-    pad = snapshot["histograms"].get("ragged.pad_waste", {})
     return {
         "num_batches": occupancy["count"],
         "coalesce_width_mean": occupancy["total"] / occupancy["count"],
@@ -91,9 +90,6 @@ def policy_stats(snapshot):
         "family_span_max": span.get("max", 1.0),
         "ragged_packs": int(
             snapshot["counters"].get("ragged.packs", 0)
-        ),
-        "pad_waste_mean": (
-            pad["total"] / pad["count"] if pad.get("count") else 0.0
         ),
     }
 
@@ -145,8 +141,7 @@ def test_bench_ragged_family_coalescing(benchmark):
                    f"{speedup:.1f}x"])
     table.print()
     print(f"\ncoalesce width ratio: {width_ratio:.1f}x | ragged packs: "
-          f"{family['ragged_packs']} | pad waste "
-          f"{family['pad_waste_mean']:.2f} | bit-identical: {identical}")
+          f"{family['ragged_packs']} | bit-identical: {identical}")
 
     payload = {
         "num_requests": NUM_REQUESTS,

@@ -13,8 +13,8 @@ overload -- and checks the service degrades structurally:
   the backlog;
 * **bit-identical transports**: the process transport returns exactly
   the bytes the thread transport does, request for request;
-* **no leaked segments**: every shared-memory segment the process
-  transport created is unlinked by drain.
+* **no surviving workers**: every worker process the process transport
+  started is joined when the service closes.
 
 The >= 2x sustained-throughput claim for the process transport is a
 multicore claim (worker processes escape the GIL that serializes the
@@ -32,8 +32,8 @@ Environment knobs:
 """
 
 import asyncio
-import glob
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -43,7 +43,6 @@ import numpy as np
 from repro.analysis.reporting import Table, format_seconds
 from repro.core.engines.registry import spec as engine_spec
 from repro.service import ScreeningService, ServiceConfig
-from repro.service.arena import SEGMENT_PREFIX
 from repro.telemetry import use_telemetry
 from repro.workloads import DiePopulation, ServiceLoadGenerator
 
@@ -155,7 +154,7 @@ def test_bench_service_sustained(benchmark):
         capacity["process"].throughput_rps
         / capacity["thread"].throughput_rps
     )
-    leftover_segments = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
+    leftover_workers = multiprocessing.active_children()
 
     table = Table(
         ["transport", "capacity rps", "overload p99", "answered", "ok"],
@@ -214,8 +213,8 @@ def test_bench_service_sustained(benchmark):
         assert report.latency_p99_s < 30.0, (
             f"{t}: overload p99 {report.latency_p99_s:.1f}s unbounded"
         )
-    assert not leftover_segments, (
-        f"leaked shared-memory segments: {leftover_segments}"
+    assert leftover_workers == [], (
+        f"worker processes survived drain: {leftover_workers}"
     )
 
     # The throughput claim is a multicore claim: assert it only where

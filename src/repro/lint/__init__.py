@@ -17,8 +17,7 @@ enumerates:
   (**TEL**),
 * no unsynchronized shared-state mutation on thread worker paths
   (**RACE**),
-* every random stream is explicitly seeded (**DET**, migrated from
-  ``tools/lint_determinism.py``).
+* every random stream is explicitly seeded (**DET**).
 
 Run it with ``python -m repro.lint src/repro --strict`` (the CI gate),
 or programmatically::

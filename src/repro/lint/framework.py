@@ -13,8 +13,8 @@ never raw AST offsets -- grouped into one
 
 Suppression: a ``# lint: allow[RULE]`` comment on the finding's line
 drops it (comma-separate several rules; a bare family prefix like
-``allow[PKL]`` covers the whole family).  The legacy ``# det: allow``
-marker of ``tools/lint_determinism.py`` keeps working for DET rules.
+``allow[PKL]`` covers the whole family).  The older ``# det: allow``
+marker keeps working for DET rules.
 Suppressed findings are counted -- per rule, in the run result and as
 ``diag_suppressed.<rule>`` telemetry -- so an allow comment is visible,
 never silent.

@@ -19,8 +19,7 @@ family     invariant it guards
            and namespaced
 ``RACE``   no unsynchronized mutation of shared module state from
            thread-pool worker paths
-``DET``    every random stream is explicitly seeded (migrated from
-           ``tools/lint_determinism.py``)
+``DET``    every random stream is explicitly seeded
 =========  ==========================================================
 """
 

@@ -1,10 +1,9 @@
 """DET: every random stream must be explicitly seeded.
 
-Migrated from ``tools/lint_determinism.py`` (PR 3) into the unified
-analyzer -- same rule ids, same semantics, one diagnostic schema.  The
-repo's headline reproducibility claim (sharded wafer screens are
-bit-identical to serial ones) only holds if no code path draws from an
-unseeded or implicitly-global random source.
+One pass of the unified analyzer, with the same diagnostic schema as
+every other rule family.  The repo's headline reproducibility claim
+(sharded wafer screens are bit-identical to serial ones) only holds if
+no code path draws from an unseeded or implicitly-global random source.
 
 =========  =============================================================
 ``DET001`` ``numpy.random.default_rng()`` with no seed (or ``None``)

@@ -7,7 +7,7 @@ engine compatibility key so concurrent requests share one stacked
 Monte-Carlo solve, scheduled deadline-aware, and answered with typed
 responses carrying per-stage latency breakdowns.  Solves run on a
 configurable transport: in-process worker threads (default) or worker
-processes fed through shared-memory arenas
+processes fed through the executor's pickle pipe
 (``ServiceConfig(transport="process")``).
 
 Quickstart::
@@ -22,7 +22,6 @@ See ``DESIGN.md`` section 3.5 for the pipeline architecture.
 """
 
 from repro.service.admission import AdmissionPolicy, AdmissionQueue
-from repro.service.arena import Arena, ArenaHandle, ArenaLeakError
 from repro.service.batcher import Batch, DispatchQueue, MicroBatcher
 from repro.service.request import (
     ResponseStatus,
@@ -47,9 +46,6 @@ from repro.service.worker import (
 __all__ = [
     "AdmissionPolicy",
     "AdmissionQueue",
-    "Arena",
-    "ArenaHandle",
-    "ArenaLeakError",
     "Batch",
     "DispatchQueue",
     "EngineCache",

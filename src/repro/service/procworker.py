@@ -1,131 +1,64 @@
-"""In-worker-process half of the service's process transport.
+"""The one process-execution substrate: pool construction and tracing.
 
-Everything in this module runs inside a ``ProcessPoolExecutor`` worker:
-the initializer that sizes the per-process engine cache, the lazily
-built attach-only :class:`~repro.service.arena.Arena`, and
-:func:`solve_shipped` -- the one function the event-loop side ever
-submits.  Keeping it separate from :mod:`repro.service.worker` keeps
-the roles honest: that module owns event-loop state, this one owns
-worker-process state, and only picklable descriptors travel between
-them (an :class:`~repro.core.engines.registry.EngineSpec` plus arena
-handles -- the ``PKL`` lint rules hold that boundary).
+Every process fan-out in the repo -- the service's process transport
+(:class:`~repro.service.worker.ProcessTransport`) and the sharded wafer
+engine (:class:`~repro.workloads.wafer.WaferScreeningEngine`) -- builds
+its pool through :func:`process_pool` and runs its work items through
+:func:`traced`.  That keeps two decisions in one place:
 
-Workers never create or unlink segments (the parent owns segment
-lifecycle; see :mod:`repro.service.arena`), and every attachment made
-here is dropped before :func:`solve_shipped` returns, so a drained
-service audits clean no matter how solves interleaved.
+* **The start method.**  Pools prefer ``fork`` where the platform has
+  it: worker processes inherit the parent's engine registry, so specs
+  for engines registered at runtime (tests, plugins) rehydrate without
+  re-imports.
+* **Cross-process telemetry.**  :func:`traced` runs one work item under
+  a fresh :class:`~repro.telemetry.Telemetry` and returns its snapshot
+  beside the result; the parent folds it in with
+  :meth:`~repro.telemetry.Telemetry.merge`, so ``measure.*``,
+  ``ragged.*`` and solver counters survive the process boundary.
 
-Engine rehydration goes through
-:func:`~repro.core.engines.registry.process_engine_cache`, the same
-audited boundary the sharded wafer engine uses, so repeated batches for
-one recipe reuse one warm engine per process.
+Arguments and results travel through the executor's pickle pipe.  Engines
+cross it as picklable :class:`~repro.core.engines.registry.EngineSpec`
+recipes and are rehydrated through the per-process
+:func:`~repro.core.engines.registry.process_engine_cache` (the ``PKL``
+lint rules hold that boundary).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Callable, Dict, Tuple, TypeVar
 
-import numpy as np
-
-from repro.core.engines.registry import EngineSpec, process_engine_cache
-from repro.service.arena import (
-    Arena,
-    ArenaHandle,
-    BufferSpec,
-    ShippedPayload,
-    load,
-    ndarray_at,
-)
 from repro.telemetry import Telemetry, use_telemetry
 
-__all__ = ["ResultRow", "init_worker", "solve_shipped", "worker_arena"]
+__all__ = ["process_pool", "traced"]
 
-#: This process's attach-only arena; built on first use so pool workers
-#: that never receive a batch pay nothing.
-_WORKER_ARENA: Optional[Arena] = None
+T = TypeVar("T")
 
 
-def worker_arena() -> Arena:
-    """The per-process arena workers attach parent segments through."""
-    global _WORKER_ARENA
-    if _WORKER_ARENA is None:
-        _WORKER_ARENA = Arena(label=f"worker-{os.getpid()}")
-    return _WORKER_ARENA
+def process_pool(
+    workers: int,
+    initializer: Callable[..., object],
+    initargs: Tuple[Any, ...] = (),
+) -> ProcessPoolExecutor:
+    """A ``workers``-process pool, forked where the platform allows."""
+    method = (
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else None
+    )
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=initializer,
+        initargs=initargs,
+    )
 
 
-def init_worker(engine_cache_size: int) -> None:
-    """Pool initializer: apply the parent's engine-cache bound."""
-    process_engine_cache(max_entries=engine_cache_size)
-
-
-class ResultRow(NamedTuple):
-    """Pipe-sized summary of one solved request.
-
-    The scalar fields mirror
-    :class:`~repro.core.engines.base.MeasurementResult`; sample
-    populations travel through the result arena (``in_arena``) and only
-    fall back to ``inline_samples`` when an engine returned a
-    population that does not fit the slot the parent laid out.
-    """
-
-    delta_t: float
-    engine: str
-    vdd: float
-    m: int
-    seed: int
-    tags: Dict[str, str]
-    in_arena: bool
-    inline_samples: Optional[np.ndarray]
-
-
-def solve_shipped(
-    spec: EngineSpec,
-    payload: ShippedPayload,
-    result_handle: ArenaHandle,
-    slots: Tuple[Optional[BufferSpec], ...],
-) -> Tuple[List[ResultRow], Dict[str, Dict[str, Any]]]:
-    """Solve one shipped batch inside a pool worker.
-
-    Rehydrates the engine from ``spec`` via the process-wide cache,
-    loads the request list out of the request segment, runs the
-    coalesced ``measure_batch``, and writes each request's sample
-    population into its pre-laid-out slot of the result segment.
-    Returns the scalar result rows plus this solve's telemetry
-    snapshot, which the parent merges -- so ``measure.*``/``ragged.*``
-    counters survive the process boundary exactly like the wafer
-    engine's do.
-    """
-    arena = worker_arena()
+def traced(
+    fn: Callable[..., T], *args: Any
+) -> Tuple[T, Dict[str, Dict[str, Any]]]:
+    """Run ``fn(*args)`` under a fresh registry; return it with a snapshot."""
     tele = Telemetry()
     with use_telemetry(tele):
-        requests = load(arena, payload, copy=True)
-        engine = process_engine_cache().resolve(spec)
-        results = engine.measure_batch(list(requests))
-    rows: List[ResultRow] = []
-    buf = arena.attach(result_handle)
-    try:
-        for result, slot in zip(results, slots):
-            in_arena = False
-            inline: Optional[np.ndarray] = None
-            if result.samples is not None:
-                samples = np.asarray(result.samples, dtype=float)
-                if slot is not None and samples.shape == slot.shape:
-                    ndarray_at(buf, slot)[:] = samples
-                    in_arena = True
-                else:
-                    inline = samples
-            rows.append(ResultRow(
-                delta_t=result.delta_t,
-                engine=result.engine,
-                vdd=result.vdd,
-                m=result.m,
-                seed=result.seed,
-                tags=result.tags,
-                in_arena=in_arena,
-                inline_samples=inline,
-            ))
-    finally:
-        del buf
-        arena.detach(result_handle)
-    return rows, tele.snapshot()
+        result = fn(*args)
+    return result, tele.snapshot()

@@ -15,9 +15,9 @@ pipeline::
 
 The worker pool solves through a configurable transport
 (:attr:`ServiceConfig.transport`): ``"thread"`` keeps every solve
-in-process on a thread pool; ``"process"`` ships batches to long-lived
-worker processes over shared-memory arenas, buying GIL-free parallelism
-for Python-heavy engines; ``"auto"`` picks ``"process"`` when the
+in-process on a thread pool; ``"process"`` pickles batches to
+long-lived worker processes, buying GIL-free parallelism for
+Python-heavy engines; ``"auto"`` picks ``"process"`` when the
 machine has the cores for it and the configured engine is
 spec-resolvable, else ``"thread"``.
 
@@ -86,15 +86,12 @@ class ServiceConfig:
         deadline_slack_s: Dispatch a batch early when a member deadline
             comes within this margin.
         transport: Where solves run: ``"thread"`` (default) keeps them
-            in-process; ``"process"`` ships batches to worker processes
-            over shared-memory arenas (requests must resolve to
+            in-process; ``"process"`` pickles batches to worker
+            processes (requests must resolve to
             picklable :class:`~repro.core.engines.registry.EngineSpec`
             recipes -- raw engine instances are rejected); ``"auto"``
             picks ``"process"`` when the machine has more than one core
             and the configured engine is spec-resolvable.
-        mp_start_method: Multiprocessing start method for the process
-            transport (``None`` prefers ``fork`` where available, so
-            workers inherit runtime registry state).
         engine_cache_size: LRU bound of the engine rehydration caches
             (the service's own and each worker process's).
         coalesce: Request-grouping policy: ``"family"`` (default) groups
@@ -116,7 +113,6 @@ class ServiceConfig:
     deadline_slack_s: float = 0.0
     coalesce: str = "family"
     transport: str = "thread"
-    mp_start_method: Optional[str] = None
     engine_cache_size: int = 64
     clock: Callable[[], float] = time.monotonic
 
@@ -225,7 +221,6 @@ class ScreeningService:
             num_workers=cfg.num_workers,
             clock=self._clock,
             engine_cache_size=cfg.engine_cache_size,
-            mp_start_method=cfg.mp_start_method,
         )
         self._workers = WorkerPool(
             self._dispatch,
@@ -252,9 +247,8 @@ class ScreeningService:
         results are discarded.
 
         Either way the transport is closed last, which joins its
-        executor *and* audits its resources -- on the process transport
-        that means verifying every shared-memory segment was unlinked
-        (:class:`~repro.service.arena.ArenaLeakError` otherwise).
+        executor -- thread or worker process -- so nothing the service
+        started outlives it.
         """
         if not self._started:
             return

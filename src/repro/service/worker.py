@@ -9,16 +9,14 @@ solve to the configured :class:`WorkerTransport`:
   cost, but batch formation and the solve's Python layers share one
   GIL.
 * :class:`ProcessTransport` ships the batch to a long-lived worker
-  *process*: the request list travels through a shared-memory arena
-  segment (:mod:`repro.service.arena`), the engine travels as a
-  picklable :class:`~repro.core.engines.registry.EngineSpec` that the
-  worker rehydrates through the per-process
-  :func:`~repro.core.engines.registry.process_engine_cache`, and the
-  sample populations come back through a result segment the parent
-  laid out in advance.  Only specs and arena handles cross the
-  boundary (the ``PKL`` lint rules enforce it); the measured
-  serialize/deserialize cost is reported as the ``transport`` latency
-  stage.
+  *process* of the shared pool substrate
+  (:mod:`repro.service.procworker`): the engine travels as a picklable
+  :class:`~repro.core.engines.registry.EngineSpec` that the worker
+  rehydrates through the per-process
+  :func:`~repro.core.engines.registry.process_engine_cache`, the
+  request list and the results travel through the executor's pickle
+  pipe, and the round trip minus the worker's own solve time is
+  reported as the ``transport`` latency stage.
 
 Failure semantics are *retry-once by decomposition* on either
 transport: when a coalesced solve raises, the batch is split and every
@@ -28,7 +26,9 @@ step bisection, the DC gmin ladder) are the one place where batch
 composition can influence a corner's result, so a member that fails
 inside a batch can legitimately succeed alone.  A singleton that still
 raises is answered ``FAILED`` with the exception text; nothing
-propagates out of the worker.
+propagates out of the worker.  The one exception to retrying is a dead
+worker process: its batch is answered ``FAILED`` at once, because a
+request that killed its worker would kill the rebuilt pool as well.
 
 Deadlines are enforced by the watchdog timers armed at submission: a
 request whose deadline fires mid-solve is answered ``EXPIRED``
@@ -41,24 +41,19 @@ already-expired entries *before* paying for their solve.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, List, Protocol, Sequence, Tuple
 
 from repro.core.engines.base import MeasurementRequest, MeasurementResult
-from repro.core.engines.registry import EngineCache
-from repro.service.arena import (
-    Arena,
-    ArenaHandle,
-    BufferSpec,
-    aligned,
-    dump,
-    ndarray_at,
+from repro.core.engines.registry import (
+    EngineCache,
+    EngineSpec,
+    process_engine_cache,
 )
 from repro.service.batcher import Batch, DispatchQueue
-from repro.service.procworker import ResultRow, init_worker, solve_shipped
+from repro.service.procworker import process_pool, traced
 from repro.service.request import (
     PendingEntry,
     ResponseStatus,
@@ -80,10 +75,10 @@ class WorkerTransport(Protocol):
     """Where a dispatched batch's ``measure_batch`` actually runs.
 
     ``solve`` returns the per-entry results *plus* the transport's own
-    serialize/deserialize seconds (zero for in-process backends), so
-    the pool can itemize solve time and shipping cost separately.
-    ``close`` releases the backend's executor and audits any resources
-    it owns; it is called after the worker coroutines joined.
+    shipping seconds (zero for in-process backends), so the pool can
+    itemize solve time and shipping cost separately.  ``close`` joins
+    the backend's executor; it is called after the worker coroutines
+    joined.
     """
 
     name: str
@@ -95,7 +90,7 @@ class WorkerTransport(Protocol):
         ...
 
     async def close(self) -> None:
-        """Shut the backend down (off-loop) and audit its resources."""
+        """Shut the backend down (off-loop)."""
         ...
 
 
@@ -127,20 +122,36 @@ class ThreadTransport:
         await asyncio.to_thread(self._executor.shutdown, True)
 
 
+def _solve_batch(
+    spec: EngineSpec, requests: List[MeasurementRequest]
+) -> Tuple[List[MeasurementResult], float]:
+    """Worker-process half of a process solve; returns its own seconds.
+
+    Rehydrates the engine through the per-process cache, so repeated
+    batches for one recipe reuse one warm engine per worker.
+    """
+    start = time.perf_counter()
+    engine = process_engine_cache().resolve(spec)
+    results = engine.measure_batch(requests)
+    return results, time.perf_counter() - start
+
+
 class ProcessTransport:
-    """Solves on long-lived worker processes via shared-memory arenas.
+    """Solves on long-lived worker processes of the shared pool substrate.
 
-    The parent creates *both* segments of every round trip -- the
-    request payload and the pre-laid-out result slots -- so segment
-    create/unlink has exactly one owner and a drained service can
-    prove nothing leaked.  Workers attach, solve, write, detach (see
-    :mod:`repro.service.procworker`).
+    Each batch crosses the executor's pickle pipe as plain arguments --
+    the request's :class:`~repro.core.engines.registry.EngineSpec` and
+    the request list -- and comes back as
+    :class:`~repro.core.engines.base.MeasurementResult` objects, the
+    worker's telemetry snapshot (merged here) and the worker's own
+    solve seconds.  The transport stage is the round trip minus that
+    solve time: pickling, the pipe and the executor's queueing.
 
-    The pool prefers the ``fork`` start method where available: worker
-    processes inherit the parent's engine registry, so specs for
-    engines registered at runtime (tests, plugins) rehydrate without
-    re-imports.  Override with ``mp_start_method`` when a workload
-    needs ``spawn``/``forkserver`` isolation instead.
+    A worker process that dies breaks the whole executor.  The
+    transport then rebuilds the pool once and re-raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`; the worker
+    pool answers the batch ``FAILED`` and later batches run on the
+    fresh workers.
     """
 
     name = "process"
@@ -151,26 +162,18 @@ class ProcessTransport:
         num_workers: int,
         clock: Callable[[], float],
         engine_cache_size: int,
-        mp_start_method: Optional[str] = None,
     ):
-        method = mp_start_method
-        if method is None and (
-            "fork" in multiprocessing.get_all_start_methods()
-        ):
-            method = "fork"
         self._clock = clock
-        self._arena = Arena(label="service-parent")
-        self._pool = ProcessPoolExecutor(
-            max_workers=num_workers,
-            mp_context=multiprocessing.get_context(method),
-            initializer=init_worker,
-            initargs=(engine_cache_size,),
-        )
+        self._num_workers = num_workers
+        self._engine_cache_size = engine_cache_size
+        self._pool = self._new_pool()
 
-    @property
-    def arena(self) -> Arena:
-        """The parent-side arena (exposed for drain audits and tests)."""
-        return self._arena
+    def _new_pool(self) -> ProcessPoolExecutor:
+        # The initializer applies the parent's engine-cache bound.
+        return process_pool(
+            self._num_workers, process_engine_cache,
+            (self._engine_cache_size,),
+        )
 
     async def solve(
         self, entries: Sequence[PendingEntry]
@@ -183,84 +186,34 @@ class ProcessTransport:
             )
         requests = [e.measurement for e in entries]
         loop = asyncio.get_running_loop()
-        ship_start = self._clock()
-        payload = dump(self._arena, requests)
-        result_handle, slots = self._plan_result(requests)
-        ship_s = self._clock() - ship_start
+        pool = self._pool
+        start = self._clock()
         try:
-            rows, snapshot = await loop.run_in_executor(
-                self._pool, solve_shipped,
-                spec, payload, result_handle, slots,
+            (results, solve_s), snapshot = await loop.run_in_executor(
+                pool, traced, _solve_batch, spec, requests,
             )
-            recv_start = self._clock()
-            results = self._collect(rows, result_handle, slots)
-            get_telemetry().merge(snapshot)
-            transport_s = ship_s + (self._clock() - recv_start)
-        finally:
-            self._arena.release(payload.handle)
-            self._arena.release(result_handle)
-        return results, transport_s
+        except BrokenProcessPool:
+            self._rebuild(pool)
+            raise
+        round_trip = self._clock() - start
+        get_telemetry().merge(snapshot)
+        return results, max(round_trip - solve_s, 0.0)
 
-    def _plan_result(
-        self, requests: Sequence[MeasurementRequest]
-    ) -> Tuple[ArenaHandle, Tuple[Optional[BufferSpec], ...]]:
-        """Lay out one float64 sample slot per Monte-Carlo request.
+    def _rebuild(self, broken: ProcessPoolExecutor) -> None:
+        """Replace ``broken`` with a fresh pool, once per broken pool.
 
-        The parent knows every request's ``num_samples``, so it can
-        pre-size the result segment exactly; scalar requests get no
-        slot (their ``delta_t`` rides in the pipe-sized result row).
+        Every solve in flight on a dead pool fails together; only the
+        first to get here rebuilds.
         """
-        slots: List[Optional[BufferSpec]] = []
-        cursor = 0
-        for request in requests:
-            n = request.num_samples or 0
-            if n:
-                slots.append(BufferSpec(
-                    offset=cursor, nbytes=8 * n,
-                    dtype="float64", shape=(n,),
-                ))
-                cursor += aligned(8 * n)
-            else:
-                slots.append(None)
-        return self._arena.create(cursor), tuple(slots)
-
-    def _collect(
-        self,
-        rows: Sequence[ResultRow],
-        result_handle: ArenaHandle,
-        slots: Tuple[Optional[BufferSpec], ...],
-    ) -> List[MeasurementResult]:
-        buf = self._arena.buffer(result_handle)
-        try:
-            results: List[MeasurementResult] = []
-            for row, slot in zip(rows, slots):
-                samples = row.inline_samples
-                if row.in_arena and slot is not None:
-                    # Copy out: the result outlives the segment, which
-                    # is unlinked as soon as this solve returns.
-                    samples = np.array(ndarray_at(buf, slot))
-                results.append(MeasurementResult(
-                    delta_t=row.delta_t,
-                    engine=row.engine,
-                    vdd=row.vdd,
-                    m=row.m,
-                    seed=row.seed,
-                    samples=samples,
-                    tags=row.tags,
-                ))
-            return results
-        finally:
-            del buf
+        if self._pool is not broken:
+            return
+        broken.shutdown(wait=False)
+        self._pool = self._new_pool()
+        get_telemetry().incr("service.pool_rebuilds")
 
     async def close(self) -> None:
-        """Join the worker processes, then audit the arena for leaks.
-
-        Raises :class:`~repro.service.arena.ArenaLeakError` when any
-        segment survived its solve -- graceful drain *verifies* every
-        segment was unlinked rather than hoping.
-        """
+        """Join the worker processes (off-loop)."""
         await asyncio.to_thread(self._pool.shutdown, True)
-        self._arena.drain()
 
 
 def make_transport(
@@ -269,7 +222,6 @@ def make_transport(
     num_workers: int,
     clock: Callable[[], float],
     engine_cache_size: int,
-    mp_start_method: Optional[str] = None,
 ) -> WorkerTransport:
     """Build the transport for a resolved (non-``auto``) kind."""
     if kind == "thread":
@@ -279,7 +231,6 @@ def make_transport(
             num_workers=num_workers,
             clock=clock,
             engine_cache_size=engine_cache_size,
-            mp_start_method=mp_start_method,
         )
     raise ValueError(f"unknown transport kind {kind!r}")
 
@@ -349,6 +300,10 @@ class WorkerPool:
         solve_start = now
         try:
             results, transport_s = await self._solve(live)
+        except BrokenProcessPool as exc:
+            for entry in live:
+                self._fail(entry, exc, batch_size=len(live))
+            return
         except Exception:
             # Retry-once by decomposition: a fresh singleton solve per
             # member; batch-composition-dependent failures recover here.

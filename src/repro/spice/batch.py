@@ -27,12 +27,9 @@ and local step bisection on convergence failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.arena import Arena, ShippedPayload
 
 from repro.spice.linalg import BackendSpec
 from repro.spice.mna import MnaSystem, NewtonOptions
@@ -159,48 +156,6 @@ class BatchParameters:
             resistor_values=resistors,
             capacitor_values=capacitors,
         )
-
-    # -- shared-memory transport ----------------------------------------
-    def to_arena(self, arena: "Arena") -> "ShippedPayload":
-        """Ship these parameters through a shared-memory segment.
-
-        Every corner array lands out-of-band in one segment created on
-        ``arena`` (pickle protocol 5), so :meth:`from_arena` in another
-        process rebuilds them as zero-copy views over the mapping
-        instead of re-materializing ``(S, F)`` draws through a pipe.
-        The caller owns the returned payload's handle and must
-        :meth:`~repro.service.arena.Arena.release` it once every
-        consumer is done.
-        """
-        # Imported here, not at module level: the solver layer offers
-        # the representation, but only the serving tier (which owns the
-        # arena lifecycle) should pay the dependency.
-        from repro.service.arena import dump
-
-        return dump(arena, self)
-
-    @classmethod
-    def from_arena(
-        cls, arena: "Arena", payload: "ShippedPayload",
-        copy: bool = False,
-    ) -> "BatchParameters":
-        """Rebuild parameters shipped by :meth:`to_arena`.
-
-        With the default ``copy=False`` the corner arrays are zero-copy
-        views over the attached segment: drop every reference and then
-        :meth:`~repro.service.arena.Arena.detach` the payload's handle
-        when done.  ``copy=True`` returns a self-contained copy and
-        leaves nothing attached.
-        """
-        from repro.service.arena import load
-
-        params = load(arena, payload, copy=copy)
-        if not isinstance(params, cls):
-            raise TypeError(
-                f"arena payload holds {type(params).__name__}, "
-                f"not {cls.__name__}"
-            )
-        return params
 
     def _check_shape(self, name: str, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)

@@ -13,23 +13,14 @@ The packing is *ragged*: members keep their own
 layouts, element counts), their own per-corner parameter overrides, and
 their own Newton active sets.  What they share is the control flow --
 one time grid, one trap/BE schedule, one step-bisection ladder, one
-Newton loop -- and the inner linear solves:
-
-* ``pack="bucket"`` (default): per Newton iteration, active corners are
-  grouped by solve-space dimension and each group goes through one
-  stacked LAPACK call (:func:`repro.spice.linalg.batched_dense_solve`).
-  Per-corner ``gesv`` is independent of its stack neighbours, so every
-  member's trajectory is **bit-identical** to running it alone through
-  :meth:`BatchedSimulation.transient` -- the property the screening
-  service's coalescing contract requires.
-* ``pack="pad"``: every active corner is embedded into one
-  ``(A, max_dim, max_dim)`` stack, identity-padded past its own
-  dimension, and solved in a single LAPACK call.  Fewer dispatches, but
-  LAPACK's blocked algorithms are size-dependent, so results agree with
-  standalone solves only to solver precision (~1e-15 relative), not
-  bit-for-bit.  The *pad waste* -- the fraction of padded-solve work
-  spent on identity rows -- is what the bucket mode avoids; both modes
-  report it to telemetry.
+Newton loop -- and the inner linear solves: per Newton iteration,
+active corners are grouped by solve-space dimension and each group goes
+through one stacked LAPACK call
+(:func:`repro.spice.linalg.batched_dense_solve`).  Per-corner ``gesv``
+is independent of its stack neighbours, so every member's trajectory is
+**bit-identical** to running it alone through
+:meth:`BatchedSimulation.transient` -- the property the screening
+service's coalescing contract requires.
 
 No integrator logic lives here: members assemble through their own
 :class:`~repro.spice.stepper.TransientStepper` (companion matrices, RHS,
@@ -61,10 +52,7 @@ from repro.spice.stamping import StampPlan
 from repro.spice.stepper import TransientStepper, newton_update
 from repro.telemetry import get_telemetry
 
-__all__ = ["PACK_MODES", "RaggedPack", "TopologyFamily", "ragged_transient"]
-
-#: Supported packing strategies for the inner linear solves.
-PACK_MODES = ("bucket", "pad")
+__all__ = ["RaggedPack", "TopologyFamily", "ragged_transient"]
 
 
 @dataclass(frozen=True)
@@ -76,9 +64,9 @@ class TopologyFamily:
     capacitances, device widths) are deliberately excluded, which is
     what separates a family from a circuit fingerprint: every resistive
     open of a given subnet shape is one family but a distinct exact
-    fingerprint.  The descriptor also canonicalizes the pad map a
-    packed solve needs: the condensed solve dimension this topology
-    occupies inside a ragged pack.
+    fingerprint.  The descriptor also records the condensed solve
+    dimension, which picks the topology's solve bucket inside a ragged
+    pack.
 
     Attributes:
         title: The circuit's title (informational only; not part of
@@ -181,16 +169,11 @@ class RaggedPack:
 
     Construction validates that members can share one integration
     (identical Newton options) and compiles the pack layout: per-member
-    corner offsets, the dimension buckets, and the pad-waste model.
+    corner offsets.
 
     Attributes:
         members: The compiled pack members, in input order.
         num_corners: Total corners across members.
-        max_dim: Largest member solve dimension (the padded block size).
-        pad_waste: Fraction of a fully padded solve's O(m^3) work that
-            identity padding would waste: ``1 - sum(S_j m_j^3) /
-            (S_total max_dim^3)``.  Zero when every member shares one
-            dimension.  Bucket mode avoids this cost; pad mode pays it.
     """
 
     def __init__(self, sims: Sequence[BatchedSimulation]):
@@ -210,11 +193,6 @@ class RaggedPack:
             self.members.append(_PackMember(i, sim, offset))
             offset += sim.num_corners
         self.num_corners = offset
-        dims = [m.space.dim for m in self.members]
-        self.max_dim = max(dims)
-        solved = sum(m.num_corners * m.space.dim ** 3 for m in self.members)
-        padded = self.num_corners * self.max_dim ** 3
-        self.pad_waste = 1.0 - solved / padded if padded else 0.0
 
     @property
     def families(self) -> List[TopologyFamily]:
@@ -230,7 +208,6 @@ class RaggedPack:
         record: Optional[Iterable[str]] = None,
         method: str = "trap",
         max_retries: int = 4,
-        pack: str = "bucket",
     ) -> List[BatchedResult]:
         """Integrate every member over one shared time loop.
 
@@ -246,9 +223,6 @@ class RaggedPack:
                 records the *intersection* impossible to define across
                 topologies, so it is rejected -- packs must name their
                 observation nodes explicitly.
-            pack: ``"bucket"`` (default, bit-identical to standalone
-                solves) or ``"pad"`` (single padded LAPACK call per
-                iteration); see the module docstring.
 
         Returns:
             One :class:`BatchedResult` per member, in input order.
@@ -257,10 +231,6 @@ class RaggedPack:
             raise ValueError(f"unknown integration method {method!r}")
         if timestep <= 0 or stop_time <= 0:
             raise ValueError("stop_time and timestep must be positive")
-        if pack not in PACK_MODES:
-            raise ValueError(
-                f"unknown pack mode {pack!r}; expected one of {PACK_MODES}"
-            )
         if record is None:
             raise ValueError(
                 "ragged packs record no default node set; pass the node "
@@ -281,13 +251,11 @@ class RaggedPack:
             record_idx.append(
                 {n: member.sim.circuit.node_index(n) for n in record_nodes}
             )
-        self._pad = pack == "pad"
 
         tele = get_telemetry()
         tele.incr("ragged.packs")
         tele.observe("ragged.pack_members", len(self.members))
         tele.observe("ragged.pack_corners", self.num_corners)
-        tele.observe("ragged.pad_waste", self.pad_waste)
 
         num_steps = int(round(stop_time / timestep))
         times = np.arange(num_steps + 1) * timestep
@@ -419,8 +387,8 @@ class RaggedPack:
 
         Per iteration each member linearizes and stamps through its own
         solve space (standalone arithmetic); the resulting systems are
-        solved together -- per dimension bucket by default, one padded
-        stack in pad mode -- and accepted through the stepper's shared
+        solved together, one stacked call per dimension bucket, and
+        accepted through the stepper's shared
         :func:`~repro.spice.stepper.newton_update`.  Per-member active
         sets shrink independently, exactly as standalone runs would.
         """
@@ -480,7 +448,7 @@ class RaggedPack:
                 work.append((j, xa, a, b))
 
             try:
-                sols = self._packed_solve(work)
+                sols = self._bucketed_solve(work)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
                     f"singular MNA matrix during packed Newton solve "
@@ -554,14 +522,6 @@ class RaggedPack:
         return a
 
     # -- inner solves --------------------------------------------------
-    def _packed_solve(
-        self, work: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]
-    ) -> List[np.ndarray]:
-        """Solve every member's active systems; one array per work item."""
-        if self._pad:
-            return self._padded_solve(work)
-        return self._bucketed_solve(work)
-
     def _bucketed_solve(
         self, work: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     ) -> List[np.ndarray]:
@@ -592,33 +552,6 @@ class RaggedPack:
                 offset += count
         return [s for s in sols if s is not None]
 
-    def _padded_solve(
-        self, work: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]
-    ) -> List[np.ndarray]:
-        """One identity-padded LAPACK call over all active corners."""
-        total = sum(len(b) for (_, _, _, b) in work)
-        md = self.max_dim
-        a_pack = np.zeros((total, md, md))
-        b_pack = np.zeros((total, md))
-        diag = np.arange(md)
-        offset = 0
-        for _, _, a, b in work:
-            count, dim = b.shape
-            block = slice(offset, offset + count)
-            a_pack[block, :dim, :dim] = a
-            a_pack[block, diag[dim:], diag[dim:]] = 1.0
-            b_pack[block, :dim] = b
-            offset += count
-        get_telemetry().incr("ragged.padded_solves")
-        sol = batched_dense_solve(a_pack, b_pack)
-        out = []
-        offset = 0
-        for _, _, _, b in work:
-            count, dim = b.shape
-            out.append(sol[offset:offset + count, :dim])
-            offset += count
-        return out
-
 
 def ragged_transient(
     sims: Sequence[BatchedSimulation],
@@ -628,16 +561,14 @@ def ragged_transient(
     record: Optional[Iterable[str]] = None,
     method: str = "trap",
     max_retries: int = 4,
-    pack: str = "bucket",
 ) -> List[BatchedResult]:
     """Run several batched simulations through one shared time loop.
 
     The functional entry point over :class:`RaggedPack`; see its
-    :meth:`~RaggedPack.transient` for semantics.  In the default
-    ``"bucket"`` mode every member's traces are bit-identical to calling
-    ``sim.transient(...)`` on it alone.
+    :meth:`~RaggedPack.transient` for semantics.  Every member's traces
+    are bit-identical to calling ``sim.transient(...)`` on it alone.
     """
     return RaggedPack(sims).transient(
         stop_time, timestep, ics=ics, record=record,
-        method=method, max_retries=max_retries, pack=pack,
+        method=method, max_retries=max_retries,
     )

@@ -16,9 +16,11 @@ Design constraints:
 
 * **Cheap.**  Counter increments sit inside the Newton loop; they are
   plain dict updates, no locks, no formatting.
-* **Mergeable.**  Worker processes of the sharded wafer engine each
-  accumulate into their own registry and ship a :meth:`Telemetry.snapshot`
-  back; the parent folds them together with :meth:`Telemetry.merge`.
+* **Mergeable.**  Worker processes (the sharded wafer engine, the
+  service's process transport) each accumulate into their own registry
+  and ship a :meth:`Telemetry.snapshot` back
+  (:func:`repro.service.procworker.traced`); the parent folds them
+  together with :meth:`Telemetry.merge`.
 * **Scoped.**  ``use_telemetry`` swaps the process-current registry for
   a ``with`` block, so benches can isolate one run's counters without
   threading a registry argument through every call site.
@@ -54,11 +56,9 @@ Counter names used by the stack (all optional -- absent means zero):
                            (:mod:`repro.service`): ``submitted``,
                            ``completed``, ``rejected``, ``expired``,
                            ``failed``, ``batches``, ``batch_retries``,
-                           ``coalesced``, ``engine_cache_evicted``.
-``arena.*``                Shared-memory segment lifecycle of the process
-                           worker transport (:mod:`repro.service.arena`):
-                           ``created``, ``attached``, ``unlinked``,
-                           ``leaked``.
+                           ``coalesced``, ``engine_cache_evicted``,
+                           ``pool_rebuilds`` (process-transport pools
+                           replaced after a worker process died).
 ``service.cascade.<s>``    Completed service requests tagged with cascade
                            fidelity stage ``<s>`` (the ``cascade_stage``
                            request tag).
@@ -82,10 +82,10 @@ Histogram names used by the screening service (latency distributions;
 ``service.solve_s``         Engine solve time per batch.
 ``service.post_s``          Post-processing (result fan-out) per batch.
 ``service.total_s``         Submit-to-response latency per request.
-``service.transport_s``     Shared-memory serialize/deserialize time per
-                            batch (process transport; zero under threads).
+``service.transport_s``     Pickle round trip minus the worker's solve time
+                            per batch (process transport; zero under
+                            threads).
 ``service.batch_occupancy`` Requests coalesced into each dispatched batch.
-``arena.segment_bytes``     Bytes per created shared-memory segment.
 ==========================  ===================================================
 """
 
@@ -420,7 +420,6 @@ for _name, _desc in [
     ("measure.*", "measurement-envelope calls, per engine name"),
     ("ragged.packs", "ragged cross-topology packs built"),
     ("ragged.bucket_solves", "dimension-bucketed stacked solves"),
-    ("ragged.padded_solves", "members solved identity-padded"),
     ("cascade.stage.*", "TSV screening passes per cascade stage"),
     ("cascade.escalations.*", "cascade escalations by reason"),
     ("compiler.compiled", "die specs compiled into verified architectures"),
@@ -438,7 +437,6 @@ for _name, _desc in [
 for _name, _desc in [
     ("ragged.pack_members", "members coalesced into each ragged pack"),
     ("ragged.pack_corners", "stacked corners per ragged pack"),
-    ("ragged.pad_waste", "padded-solve waste fraction per pack"),
     ("stagedelay.family_span", "exact-key subgroups per family batch"),
 ]:
     register_metric(_name, "histogram", "telemetry", _desc)
@@ -463,13 +461,9 @@ for _name, _kind, _desc in [
     ("service.engine_cache_evicted", "counter",
      "engines evicted by the bounded rehydration cache"),
     ("service.transport_s", "histogram",
-     "shared-memory serialize/deserialize time per batch"),
-    ("arena.created", "counter", "shared-memory segments created"),
-    ("arena.attached", "counter", "shared-memory segments attached"),
-    ("arena.unlinked", "counter", "shared-memory segments unlinked"),
-    ("arena.leaked", "counter",
-     "segments still live at drain (force-released)"),
-    ("arena.segment_bytes", "histogram", "bytes per created segment"),
+     "pickle round trip minus worker solve time per batch"),
+    ("service.pool_rebuilds", "counter",
+     "process pools rebuilt after a worker process died"),
 ]:
     register_metric(_name, _kind, "service", _desc)
 

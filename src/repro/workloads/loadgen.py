@@ -67,10 +67,8 @@ class LoadReport:
     #: under family coalescing (``service.family_span``).
     family_span_mean: float = 1.0
     family_span_max: float = 1.0
-    #: Ragged cross-topology packs the engines ran, and their mean
-    #: padded-solve waste fraction (``ragged.*`` telemetry).
+    #: Ragged cross-topology packs the engines ran (``ragged.packs``).
     ragged_packs: int = 0
-    pad_waste_mean: float = 0.0
     occupancy_buckets: Dict[int, int] = field(default_factory=dict)
 
     @classmethod
@@ -86,7 +84,6 @@ class LoadReport:
             "service.batch_occupancy", Histogram()
         )
         span = telemetry.histograms.get("service.family_span", Histogram())
-        pad_waste = telemetry.histograms.get("ragged.pad_waste", Histogram())
         return cls(
             offered=len(responses),
             completed=len(responses),
@@ -110,7 +107,6 @@ class LoadReport:
             family_span_mean=span.mean if span.count else 1.0,
             family_span_max=span.max if span.count else 1.0,
             ragged_packs=int(telemetry.count("ragged.packs")),
-            pad_waste_mean=pad_waste.mean if pad_waste.count else 0.0,
             occupancy_buckets=dict(occupancy.buckets),
         )
 
@@ -135,7 +131,6 @@ class LoadReport:
             "family_span_mean": self.family_span_mean,
             "family_span_max": self.family_span_max,
             "ragged_packs": self.ragged_packs,
-            "pad_waste_mean": self.pad_waste_mean,
             "occupancy_buckets": {
                 str(k): v for k, v in sorted(self.occupancy_buckets.items())
             },

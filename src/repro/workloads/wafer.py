@@ -35,7 +35,6 @@ only survive on fork-based platforms).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,6 +50,7 @@ from repro.core.engines.registry import (
 from repro.core.session import ReferenceBand
 from repro.core.tsv import TsvParameters
 from repro.dft.control import MeasurementPlan
+from repro.service.procworker import process_pool, traced
 from repro.spice.cache import (
     PersistentSolveCache,
     SolveCache,
@@ -250,15 +250,12 @@ def _worker_init(
 
 def _screen_chunk(
     chunk: List[Tuple[int, DiePopulation, int]],
-) -> Tuple[List[Tuple[int, FlowMetrics]], Dict]:
-    """Screen a chunk of dies; returns indexed metrics + telemetry."""
-    tele = Telemetry()
-    with use_telemetry(tele):
-        results = [
-            (index, _WORKER_FLOW.screen_die(die, measure_seed=seed))
-            for index, die, seed in chunk
-        ]
-    return results, tele.snapshot()
+) -> List[Tuple[int, FlowMetrics]]:
+    """Screen a chunk of dies; returns ``(index, metrics)`` pairs."""
+    return [
+        (index, _WORKER_FLOW.screen_die(die, measure_seed=seed))
+        for index, die, seed in chunk
+    ]
 
 
 class WaferScreeningEngine:
@@ -427,14 +424,15 @@ class WaferScreeningEngine:
         shared_cache = (
             current if isinstance(current, PersistentSolveCache) else None
         )
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(
-                self._flow_kwargs, flow.bands, cascade_state, shared_cache
-            ),
+        with process_pool(
+            workers, _worker_init,
+            (self._flow_kwargs, flow.bands, cascade_state, shared_cache),
         ) as pool:
-            for results, snapshot in pool.map(_screen_chunk, chunks):
+            futures = [
+                pool.submit(traced, _screen_chunk, chunk) for chunk in chunks
+            ]
+            for future in futures:
+                results, snapshot = future.result()
                 tele.merge(snapshot)
                 for index, metrics in results:
                     indexed[index] = metrics

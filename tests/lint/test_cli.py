@@ -25,14 +25,6 @@ class TestSelfCheck:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 finding(s)" in proc.stdout
 
-    def test_shim_cli_matches(self):
-        env = dict(os.environ)
-        proc = subprocess.run(
-            [sys.executable, "tools/lint_determinism.py", "src"],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
 
 class TestExitCodes:
     def test_findings_exit_one(self):

@@ -47,12 +47,12 @@ class TestTEL002:
         assert rules_of(result) == ["TEL002"]
 
     def test_incr_on_histogram(self, lint_source):
-        result = lint_source(TELE + "tele.incr('ragged.pad_waste')\n")
+        result = lint_source(TELE + "tele.incr('ragged.pack_members')\n")
         assert rules_of(result) == ["TEL002"]
 
     def test_observe_on_histogram_is_clean(self, lint_source):
         result = lint_source(
-            TELE + "tele.observe('ragged.pad_waste', 0.25)\n",
+            TELE + "tele.observe('ragged.pack_members', 3.0)\n",
         )
         assert result.diagnostics == []
 

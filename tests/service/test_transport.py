@@ -2,15 +2,17 @@
 
 The process transport must be *observationally identical* to the thread
 transport -- bit-identical measurements, the same retry-once and
-deadline semantics -- while keeping every shared-memory segment
-accounted for.  Engines used here are registered through a fixture (and
-unregistered afterwards) so specs resolve in forked workers without
-perturbing the registry-content assertions elsewhere in the suite.
+deadline semantics -- while leaving no worker process behind once the
+service closes, and surviving a worker process that dies mid-solve.
+Engines used here are registered through a fixture (and unregistered
+afterwards) so specs resolve in forked workers without perturbing the
+registry-content assertions elsewhere in the suite.
 """
 
 import asyncio
-import glob
+import multiprocessing
 import os
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -33,7 +35,6 @@ from repro.service import (
     ScreeningService,
     ServiceConfig,
 )
-from repro.service.arena import SEGMENT_PREFIX
 from repro.telemetry import use_telemetry
 
 
@@ -90,6 +91,24 @@ class SplitterEngine(NapEngine):
         return super().measure_batch(requests)
 
 
+#: The request seed :class:`KillerEngine` dies on.
+KILL_SEED = 13
+
+
+@dataclass
+class KillerEngine(NapEngine):
+    """SIGKILLs its own worker process when asked to solve ``KILL_SEED``."""
+
+    engine_name = "testkiller"
+
+    def measure_batch(
+        self, requests: Sequence[MeasurementRequest]
+    ) -> List[MeasurementResult]:
+        if any(r.seed == KILL_SEED for r in requests):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().measure_batch(requests)
+
+
 @dataclass
 class UnregisteredEngine(NapEngine):
     """Never registered: not spec-resolvable across processes."""
@@ -100,17 +119,14 @@ class UnregisteredEngine(NapEngine):
 @pytest.fixture
 def test_engines():
     """Register the stub engines for the test, then scrub the registry."""
-    for cls in (NapEngine, SplitterEngine):
+    stubs = (NapEngine, SplitterEngine, KillerEngine)
+    for cls in stubs:
         registry.register(cls.engine_name)(cls)
     try:
         yield
     finally:
-        for cls in (NapEngine, SplitterEngine):
+        for cls in stubs:
             registry._REGISTRY.pop(cls.engine_name, None)
-
-
-def shm_segments() -> List[str]:
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
 
 
 def request(**kwargs) -> ScreenRequest:
@@ -152,7 +168,7 @@ class TestThreadProcessParity:
             assert t.vdd == p.vdd
             assert t.engine == p.engine
             assert np.array_equal(t.samples, p.samples)
-        assert not shm_segments()
+        assert multiprocessing.active_children() == []
 
     def test_transport_stage_is_itemized(self):
         requests = [request(seed=i, num_samples=4) for i in range(8)]
@@ -185,7 +201,7 @@ class TestProcessFailureSemantics:
         # Answered at the deadline, not after the 0.5 s solve; the
         # late worker-process result is discarded on arrival.
         assert waited < 0.4
-        assert not shm_segments()
+        assert multiprocessing.active_children() == []
 
     def test_decomposition_retry_across_processes(self, test_engines):
         with use_telemetry() as telemetry:
@@ -201,7 +217,7 @@ class TestProcessFailureSemantics:
         assert all(r.batch_size == 1 for r in responses)
         counters = telemetry.snapshot()["counters"]
         assert counters["service.batch_retries"] == 1
-        assert not shm_segments()
+        assert multiprocessing.active_children() == []
 
     def test_unresolvable_engine_is_rejected_structurally(self):
         responses = run_service(
@@ -214,8 +230,8 @@ class TestProcessFailureSemantics:
         assert "spec-resolvable" in responses[0].reason
 
 
-class TestArenaHammer:
-    def test_four_process_sweep_leaks_nothing(self):
+class TestProcessHammer:
+    def test_four_process_sweep_leaves_no_workers(self):
         """4 worker processes, 48 Monte-Carlo solves, zero leftovers."""
         with use_telemetry() as telemetry:
             responses = run_service(
@@ -229,10 +245,36 @@ class TestArenaHammer:
                 ],
             )
         assert all(r.status is ResponseStatus.OK for r in responses)
+        # Worker telemetry crosses back and merges into the parent's.
+        assert telemetry.snapshot()["counters"]["measure.analytic"] == 48
+        assert multiprocessing.active_children() == []
+
+
+class TestBrokenPool:
+    def test_dead_worker_fails_its_batch_and_pool_is_rebuilt(
+        self, test_engines
+    ):
+        async def scenario():
+            async with ScreeningService(
+                engine=KillerEngine(), transport="process",
+                num_workers=2, batch_window_s=0.0,
+            ) as service:
+                killed = await service.submit(request(seed=KILL_SEED))
+                later = await service.submit_many(
+                    [request(seed=i) for i in range(4)]
+                )
+            return killed, later
+
+        with use_telemetry() as telemetry:
+            killed, later = asyncio.run(
+                asyncio.wait_for(scenario(), timeout=60.0)
+            )
+        assert killed.status is ResponseStatus.FAILED
+        assert "BrokenProcessPool" in killed.reason
+        assert all(r.status is ResponseStatus.OK for r in later)
         counters = telemetry.snapshot()["counters"]
-        assert counters["arena.created"] == counters["arena.unlinked"]
-        assert "arena.leaked" not in counters
-        assert not shm_segments()
+        assert counters["service.pool_rebuilds"] == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestTransportConfig:

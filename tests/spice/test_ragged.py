@@ -1,12 +1,11 @@
-"""Ragged cross-topology packing: bit-identity, families, pack modes.
+"""Ragged cross-topology packing: bit-identity, families, validation.
 
 The contract under test is the one the screening service's family
 coalescing rests on: packing mixed-topology :class:`BatchedSimulation`
-members into one shared time loop (``pack="bucket"``) must reproduce
-every member's standalone ``transient()`` traces *bit-for-bit* -- not
-approximately -- because dimension-bucketed stacked LAPACK solves are
-per-corner transparent.  The padded single-solve mode only promises
-solver-precision agreement.
+members into one shared time loop must reproduce every member's
+standalone ``transient()`` traces *bit-for-bit* -- not approximately --
+because dimension-bucketed stacked LAPACK solves are per-corner
+transparent.
 """
 
 import numpy as np
@@ -118,37 +117,6 @@ class TestBucketBitIdentity:
             assert np.array_equal(a.voltages["out"], b.voltages["out"])
 
 
-class TestPadMode:
-    def test_padded_solves_agree_to_solver_precision(self):
-        sims = mixed_sims()
-        solo = [s.transient(400e-12, 1e-12, record=["out"]) for s in sims]
-        packed = ragged_transient(
-            sims, 400e-12, 1e-12, record=["out"], pack="pad"
-        )
-        for a, b in zip(solo, packed):
-            np.testing.assert_allclose(
-                b.voltages["out"], a.voltages["out"],
-                rtol=1e-6, atol=1e-9,
-            )
-
-    def test_pad_waste_model(self):
-        sims = mixed_sims()
-        pack = RaggedPack(sims)
-        solved = sum(
-            m.num_corners * m.space.dim ** 3 for m in pack.members
-        )
-        padded = pack.num_corners * pack.max_dim ** 3
-        assert pack.pad_waste == pytest.approx(1.0 - solved / padded)
-        assert 0.0 < pack.pad_waste < 1.0
-
-    def test_uniform_pack_wastes_nothing(self):
-        sims = [
-            BatchedSimulation(rc_circuit(r), BatchParameters.nominal(2))
-            for r in (500.0, 1000.0)
-        ]
-        assert RaggedPack(sims).pad_waste == 0.0
-
-
 class TestTopologyFamily:
     def test_values_do_not_split_families(self):
         a = TopologyFamily.of(rc_circuit(500.0))
@@ -210,15 +178,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="node names"):
             ragged_transient(sims, 100e-12, 1e-12)
 
-    def test_unknown_pack_mode_rejected(self):
-        sims = [BatchedSimulation(rc_circuit(), BatchParameters.nominal(1))]
-        with pytest.raises(ValueError, match="pack mode"):
-            ragged_transient(sims, 100e-12, 1e-12, record=["out"],
-                             pack="diagonal")
-
 
 class TestTelemetry:
-    def test_pack_counters_and_waste_are_reported(self):
+    def test_pack_counters_are_reported(self):
         sims = mixed_sims()
         with use_telemetry() as tele:
             ragged_transient(sims, 100e-12, 1e-12, record=["out"])
@@ -227,14 +189,4 @@ class TestTelemetry:
         assert tele.histogram("ragged.pack_corners").max == sum(
             s.num_corners for s in sims
         )
-        assert tele.histogram("ragged.pad_waste").count == 1
         assert tele.count("ragged.bucket_solves") > 0
-
-    def test_pad_mode_counts_padded_solves(self):
-        sims = mixed_sims()
-        with use_telemetry() as tele:
-            ragged_transient(
-                sims, 100e-12, 1e-12, record=["out"], pack="pad"
-            )
-        assert tele.count("ragged.padded_solves") > 0
-        assert tele.count("ragged.bucket_solves") == 0
