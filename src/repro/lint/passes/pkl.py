@@ -22,6 +22,11 @@ and audits ``SharedMemory`` -- so a raw
 shipped across a pool boundary) is flagged; everything outside the
 arena module talks in picklable ``ArenaHandle`` descriptors.
 
+Pools built by :func:`repro.service.procworker.process_pool` (which
+builds every pool in ``src/``) are boundaries like direct constructors;
+``initializer``/``initargs`` are checked whether passed by keyword or
+position.
+
 The pass is deliberately precise rather than complete: it flags only
 what it can *prove* locally (lambdas, nested defs, names bound to
 ``open()``/``sqlite3.connect()``, names annotated or resolved as
@@ -52,12 +57,14 @@ from repro.lint.modgraph import ModuleInfo, dotted_name
 
 __all__ = ["pkl_boundaries"]
 
-#: Fully-qualified constructors of process pools.
+#: Fully-qualified constructors (and factories) of process pools, each
+#: with the positional index of its ``initializer`` (``initargs`` next).
 _POOL_TYPES = {
-    "concurrent.futures.ProcessPoolExecutor",
-    "concurrent.futures.process.ProcessPoolExecutor",
-    "multiprocessing.Pool",
-    "multiprocessing.pool.Pool",
+    "concurrent.futures.ProcessPoolExecutor": 2,
+    "concurrent.futures.process.ProcessPoolExecutor": 2,
+    "multiprocessing.Pool": 1,
+    "multiprocessing.pool.Pool": 1,
+    "repro.service.procworker.process_pool": 1,
 }
 
 #: Constructors whose result is an unpicklable OS handle.
@@ -276,20 +283,23 @@ class _BoundaryVisitor(ast.NodeVisitor):
             boundary = "run_in_executor"
             crossing.extend((arg, "argument") for arg in node.args[1:])
         elif func_name is not None and (
-            self.module.resolve(func_name) in _POOL_TYPES
-        ):
+            pos := _POOL_TYPES.get(self.module.resolve(func_name))
+        ) is not None:
             boundary = func_name.split(".")[-1]
-            for kw in node.keywords:
-                if kw.arg == "initializer":
-                    crossing.append((kw.value, "initializer="))
-                elif kw.arg == "initargs":
-                    if isinstance(kw.value, (ast.Tuple, ast.List)):
-                        crossing.extend(
-                            (elt, "initargs member")
-                            for elt in kw.value.elts
-                        )
-                    else:
-                        crossing.append((kw.value, "initargs="))
+            init = dict(zip(("initializer", "initargs"), node.args[pos:]))
+            init.update(
+                (kw.arg, kw.value) for kw in node.keywords
+                if kw.arg in ("initializer", "initargs")
+            )
+            if "initializer" in init:
+                crossing.append((init["initializer"], "initializer="))
+            initargs = init.get("initargs")
+            if isinstance(initargs, (ast.Tuple, ast.List)):
+                crossing.extend(
+                    (elt, "initargs member") for elt in initargs.elts
+                )
+            elif initargs is not None:
+                crossing.append((initargs, "initargs="))
 
         if boundary is not None:
             for expr, role in crossing:

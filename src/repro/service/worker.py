@@ -170,10 +170,15 @@ class ProcessTransport:
 
     def _new_pool(self) -> ProcessPoolExecutor:
         # The initializer applies the parent's engine-cache bound.
-        return process_pool(
+        pool = process_pool(
             self._num_workers, process_engine_cache,
             (self._engine_cache_size,),
         )
+        # Workers start on the pool's first submits; start them now so
+        # no request's transport stage is billed for the fork.
+        for _ in range(self._num_workers):
+            pool.submit(int)
+        return pool
 
     async def solve(
         self, entries: Sequence[PendingEntry]

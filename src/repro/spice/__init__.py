@@ -12,14 +12,14 @@ This package replaces the HSPICE runs of the paper.  It provides:
   options.
 * :mod:`repro.spice.stamping` -- the assembly layer: compiled
   :class:`StampPlan` scatter indices shared by scalar and batched runs.
-* :mod:`repro.spice.linalg` -- the linear-solve layer: pluggable
-  :class:`LinearSolver` backends (cached LU, batched dense, sparse
-  ``splu``-cached CSC).
+* :mod:`repro.spice.linalg` -- the linear-solve layer: one stacked
+  dense assemble-and-solve for every Newton system, scalar (a stack of
+  one) or batched.
 * :mod:`repro.spice.stepper` -- the stepper layer: the shared Newton
   loop, DC solve, and trap/BE integrator.
 * :mod:`repro.spice.ragged` -- ragged cross-topology batch packing:
   mixed circuits advanced through one shared time loop with
-  dimension-bucketed (bit-identical) or padded stacked solves.
+  dimension-bucketed (bit-identical) stacked solves.
 * :mod:`repro.spice.dc` -- DC operating-point analysis.
 * :mod:`repro.spice.transient` -- backward-Euler / trapezoidal transient
   analysis.
@@ -66,17 +66,6 @@ from repro.spice.cache import (
     get_cache,
     use_cache,
 )
-from repro.spice.linalg import (
-    BatchedDense,
-    DenseDirect,
-    DenseLU,
-    LinearSolver,
-    SparseLU,
-    available_backends,
-    make_solver,
-    register_backend,
-    resolve_backend,
-)
 from repro.spice.ragged import (
     RaggedPack,
     TopologyFamily,
@@ -97,21 +86,12 @@ from repro.spice.sweep import sweep_parameter
 
 __all__ = [
     "BatchParameters",
-    "BatchedDense",
     "BatchedSimulation",
-    "DenseDirect",
-    "DenseLU",
-    "LinearSolver",
     "RaggedPack",
-    "SparseLU",
     "StampPlan",
     "TopologyFamily",
     "TransientStepper",
-    "available_backends",
-    "make_solver",
     "ragged_transient",
-    "register_backend",
-    "resolve_backend",
     "Capacitor",
     "Circuit",
     "CurrentSource",

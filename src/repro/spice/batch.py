@@ -31,7 +31,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.spice.linalg import BackendSpec
 from repro.spice.mna import MnaSystem, NewtonOptions
 from repro.spice.montecarlo import ProcessVariation, clamp_4sigma
 from repro.spice.netlist import Circuit
@@ -204,13 +203,11 @@ class BatchedSimulation:
         circuit: Circuit,
         params: BatchParameters,
         options: Optional[NewtonOptions] = None,
-        backend: BackendSpec = "batched",
         preflight: bool = True,
     ):
         self.circuit = circuit
         self.params = params
         self.options = options or NewtonOptions()
-        self.backend = backend
         self.num_corners = params.num_corners
         # The scalar system provides the compiled plan (and legacy views).
         self.system = MnaSystem(circuit, self.options)
@@ -237,7 +234,7 @@ class BatchedSimulation:
         s = self.num_corners
 
         # Resistor conductances: shared across corners unless overridden
-        # (the solver backends broadcast a shared base matrix).
+        # (the Newton solve broadcasts a shared base matrix).
         if params.resistor_values:
             res_names = [r.name for r in circuit.resistors]
             res_g = np.broadcast_to(
@@ -282,7 +279,6 @@ class BatchedSimulation:
             space,
             self.fets,
             self.options,
-            self.backend,
             num_corners=self.num_corners,
             t=0.0,
             ics=ics,
@@ -318,7 +314,6 @@ class BatchedSimulation:
             a_linear=space.assemble_linear(self.res_g),
             bpin_linear=space.bpin_linear(self.res_g),
             options=self.options,
-            backend=self.backend,
             num_corners=self.num_corners,
         )
         stepped = stepper.run(

@@ -44,7 +44,6 @@ def solve_dc(
         plan.reduced,
         plan.nominal_fets() if plan.num_fets else None,
         system.options,
-        "dense_lu",
         num_corners=1,
         t=t,
         ics=ics,

@@ -1,442 +1,62 @@
-"""Pluggable linear-algebra backends for the MNA solver stack.
+"""The linear-solve layer: one stacked dense solve for every Newton system.
 
-The *linear-solve layer*: every backend solves the solve-space Newton
-system
+Every Newton iteration of the stack solves, per active corner,
 
     (A_base + dA_fet(x)) x = b
 
-where ``A_base`` is the time-invariant linear + companion matrix (set
-once per timestep size / integration method via :meth:`LinearSolver.set_base`)
-and ``dA_fet`` is the per-iteration MOSFET linearization, handed over in
-structured form (a :class:`~repro.spice.stamping.FetLinearization`) so
-each backend can choose its own update strategy.  Backends are bound to
-a :class:`~repro.spice.stamping.SolveSpace`, which defines the unknown
-ordering and owns the compiled scatter indices.
+where ``A_base`` is the time-invariant linear + companion matrix (fixed
+per timestep size / integration method) and ``dA_fet`` is the
+iteration's MOSFET linearization.  :func:`stamped_matrix` assembles the
+active corners' matrices and :func:`batched_dense_solve` solves them in
+one broadcasted LAPACK call.  Scalar analyses are a stack of one.
 
-Backends:
-
-* :class:`DenseDirect` -- reference implementation: materialize the full
-  dense matrix every iteration and call ``np.linalg.solve``.
-* :class:`DenseLU` -- caches the LU factorization of the base matrix
-  (via :mod:`scipy.linalg` when available, else a built-in
-  partial-pivoting fallback).  Linear circuits then cost one
-  back-substitution per step, and circuits whose MOSFET count is small
-  relative to the matrix apply the nonlinear delta as a rank-``F``
-  Sherman-Morrison-Woodbury update instead of refactorizing.  A residual
-  check guards the low-rank path; it falls back to a dense solve if the
-  update is ill-conditioned.
-* :class:`BatchedDense` -- the stacked ``(S, m, m)`` corner batch solved
-  through numpy's broadcasted LAPACK ``solve``; supports per-corner
-  *active masks* so converged corners drop out of the Newton iteration.
-* :class:`SparseLU` -- CSC matrix with an ``splu``-cached factorization,
-  compiled from the :meth:`~repro.spice.stamping.SolveSpace.sparse_pattern`
-  scatter targets; inherits :class:`DenseLU`'s low-rank MOSFET update.
-  Registered only when scipy.sparse imports; the string ``"auto"``
-  resolves to it at or above :data:`SPARSE_AUTO_DIM` unknowns (else to
-  the dense LU) via :func:`resolve_backend`.
-
-All solve shapes are batched: ``b`` is ``(A, m)`` and the result is
-``(A, m)`` where ``A`` is the number of active corners (``1`` for scalar
-analyses) and ``m`` the solve-space dimension.  Register additional
-backends with :func:`register_backend` (e.g. accelerator-resident
-solvers).
+There is deliberately no cached-LU or low-rank path: every circuit the
+engines build has more MOSFETs than half its unknowns (26 MOSFETs on
+13-22 unknowns per stage-delay circuit, 86 on 42-59 for a three-segment
+ring, 134 on 66-89 for the default five-segment ring), so a rank-``F``
+update never beats refactorizing, and the per-step cost is Python
+dispatch, not flops.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, Optional, Type, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.spice.stamping import FetLinearization, SolveSpace
-from repro.telemetry import get_telemetry
 
-try:  # pragma: no cover - exercised implicitly on scipy-equipped hosts
-    from scipy.linalg import lu_factor as _scipy_lu_factor
-    from scipy.linalg import lu_solve as _scipy_lu_solve
-except Exception:  # pragma: no cover - scipy is an optional dependency
-    _scipy_lu_factor = None
-    _scipy_lu_solve = None
 
-try:  # pragma: no cover - exercised implicitly on scipy-equipped hosts
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
-except Exception:  # pragma: no cover - scipy is an optional dependency
-    _csc_matrix = None
-    _splu = None
+def stamped_matrix(
+    space: SolveSpace,
+    base: np.ndarray,
+    lin: Optional[FetLinearization],
+    active: np.ndarray,
+) -> np.ndarray:
+    """The active corners' Newton matrices, ``(A, m, m)``.
+
+    ``base`` is shared across corners (``(m, m)``, the common Monte
+    Carlo case where only MOSFET parameters vary) and broadcast, or
+    stacked (``(S, m, m)``, per-corner resistor or capacitor overrides)
+    and gathered at ``active``.  The MOSFET linearization of the active
+    corners (``None`` for linear circuits) is stamped on top.
+    """
+    if base.ndim == 2:
+        a = np.broadcast_to(base, (len(active),) + base.shape).copy()
+    else:
+        a = base[active]
+    if lin is not None:
+        space.stamp_fet_matrix(a, lin)
+    return a
 
 
 def batched_dense_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One broadcasted LAPACK solve of the stacked systems ``a x = b``.
 
-    ``a`` is ``(A, m, m)``, ``b`` is ``(A, m)``.  The single shared
-    entry point for every stacked dense solve in the stack (the batched
-    backend and the ragged pack's dimension buckets): numpy dispatches
-    the whole stack through one ``gesv`` loop, and per-corner results
-    are bit-identical to solving each system alone.
+    ``a`` is ``(A, m, m)``, ``b`` is ``(A, m)``.  The single linear
+    solve of the stack (the Newton loop and the ragged pack's dimension
+    buckets): numpy dispatches the whole stack through one ``gesv``
+    loop, and per-corner results are bit-identical to solving each
+    system alone.
     """
     return np.linalg.solve(a, b[..., None])[..., 0]
-
-
-def _lu_factor(a: np.ndarray):
-    """LU-factorize ``a`` (partial pivoting); scipy when available."""
-    if _scipy_lu_factor is not None:
-        return _scipy_lu_factor(a)
-    # Doolittle LU with partial pivoting, recorded scipy-style: ``piv[k]``
-    # is the row swapped with row ``k`` at step ``k``.
-    lu = np.asarray(a, dtype=float).copy()
-    m = lu.shape[0]
-    piv = np.arange(m)
-    for k in range(m - 1):
-        p = int(np.argmax(np.abs(lu[k:, k]))) + k
-        piv[k] = p
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-        pivot = lu[k, k]
-        if pivot == 0.0:
-            raise np.linalg.LinAlgError("singular matrix in LU factorization")
-        lu[k + 1:, k] /= pivot
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    if lu[m - 1, m - 1] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix in LU factorization")
-    return lu, piv
-
-
-def _lu_solve(factorization, b: np.ndarray) -> np.ndarray:
-    """Solve with a cached factorization; ``b`` is ``(m,)`` or ``(m, k)``."""
-    if _scipy_lu_solve is not None:
-        return _scipy_lu_solve(factorization, b)
-    lu, piv = factorization
-    m = lu.shape[0]
-    x = np.asarray(b, dtype=float).copy()
-    for k in range(m - 1):
-        p = piv[k]
-        if p != k:
-            x[[k, p]] = x[[p, k]]
-    for k in range(1, m):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(m - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
-
-
-class LinearSolver(ABC):
-    """Backend protocol for the Newton loop's inner linear solves."""
-
-    #: Registry name; filled in by :func:`register_backend`.
-    name: str = ""
-
-    def __init__(self, space: SolveSpace):
-        self.space = space
-
-    @abstractmethod
-    def set_base(self, a_base: np.ndarray) -> None:
-        """Install the base matrix ``(m, m)`` or ``(S, m, m)``.
-
-        Called whenever the timestep or integration method (and hence
-        the companion-model conductances) changes -- *not* per Newton
-        iteration.  Backends cache factorizations here.
-        """
-
-    @abstractmethod
-    def solve(
-        self,
-        b: np.ndarray,
-        lin: Optional[FetLinearization] = None,
-        active: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Solve ``(A_base + dA(lin)) x = b`` for the active corners.
-
-        Args:
-            b: Solve-space RHS, shape ``(A, m)``.
-            lin: MOSFET linearization for the active corners (``None``
-                for linear circuits).
-            active: Corner indices into a stacked base matrix; ``None``
-                means all corners (required ``None`` for unbatched
-                backends).
-
-        Returns:
-            Solutions, shape ``(A, m)``.
-
-        Raises:
-            np.linalg.LinAlgError: If the system is singular.
-        """
-
-
-class DenseDirect(LinearSolver):
-    """Reference backend: rebuild the dense matrix and solve from scratch."""
-
-    def __init__(self, space: SolveSpace):
-        super().__init__(space)
-        self._base: Optional[np.ndarray] = None
-
-    def set_base(self, a_base: np.ndarray) -> None:
-        if a_base.ndim != 2:
-            raise ValueError("DenseDirect expects an unbatched base matrix")
-        self._base = a_base
-
-    def solve(self, b, lin=None, active=None):
-        get_telemetry().incr("dense_solves")
-        num = b.shape[0]
-        a = np.broadcast_to(self._base, (num,) + self._base.shape).copy()
-        if lin is not None:
-            self.space.stamp_fet_matrix(a, lin)
-        return batched_dense_solve(a, b)
-
-
-class DenseLU(LinearSolver):
-    """Cached-LU backend with low-rank nonlinear updates.
-
-    The base matrix is factorized once per :meth:`set_base`.  Per Newton
-    iteration:
-
-    * no MOSFETs: a single pair of triangular solves;
-    * ``F <= m * RANK_FRACTION``: Sherman-Morrison-Woodbury over the
-      rank-``F`` MOSFET delta ``dA = U W^T`` (``U`` fixed by topology,
-      ``W`` from the current linearization), using the cached
-      ``Z = A0^-1 U``; a residual check falls back to the dense path if
-      the capacitance matrix of the update is ill-conditioned;
-    * otherwise: dense assembly and ``np.linalg.solve`` (the low-rank
-      update would cost more than refactorizing).
-    """
-
-    #: Low-rank updates pay off only while F is well below the matrix size.
-    RANK_FRACTION = 0.5
-    #: Relative residual above which the Woodbury result is rejected.
-    RESIDUAL_TOL = 1e-8
-
-    def __init__(self, space: SolveSpace):
-        super().__init__(space)
-        self._base: Optional[np.ndarray] = None
-        self._factorization = None
-        self._z: Optional[np.ndarray] = None
-        num_fets = space.plan.num_fets
-        self._use_woodbury = 0 < num_fets <= int(space.dim * self.RANK_FRACTION)
-
-    def set_base(self, a_base: np.ndarray) -> None:
-        if a_base.ndim != 2:
-            raise ValueError("DenseLU expects an unbatched base matrix")
-        self._base = a_base
-        self._factorization = None
-        self._z = None
-
-    # -- factorization strategy (overridden by sparse subclasses) --------
-    def _factorize(self, a: np.ndarray):
-        """Factor the base matrix; the cached-factorization extension point."""
-        return _lu_factor(a)
-
-    def _backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve against the cached factorization; ``rhs`` is ``(m, k)``."""
-        return _lu_solve(self._factorization, rhs)
-
-    def _factor(self):
-        if self._factorization is None:
-            get_telemetry().incr("lu_refactorizations")
-            self._factorization = self._factorize(self._base)
-            if self._use_woodbury:
-                self._z = self._backsolve(self.space.fet_u)
-        return self._factorization
-
-    def _dense_solve(self, b, lin):
-        get_telemetry().incr("dense_solves")
-        num = b.shape[0]
-        a = np.broadcast_to(self._base, (num,) + self._base.shape).copy()
-        if lin is not None:
-            self.space.stamp_fet_matrix(a, lin)
-        return batched_dense_solve(a, b)
-
-    def _build_w(self, lin: FetLinearization, num: int) -> np.ndarray:
-        """Column ``f`` of ``W`` holds the four conductances of device
-        ``f`` at its (solve-space) terminal columns; ``(A, m, F)``."""
-        space = self.space
-        num_fets = space.plan.num_fets
-        w = np.zeros((num, space.dim, num_fets))
-        cols = np.arange(num_fets)
-        for term, g in (
-            (space.fet_col_d, lin.g_d),
-            (space.fet_col_g, lin.g_g),
-            (space.fet_col_s, lin.g_s),
-            (space.fet_col_b, lin.g_b),
-        ):
-            keep = term >= 0
-            if not np.any(keep):
-                continue
-            g = np.broadcast_to(g, (num, num_fets))
-            np.add.at(
-                w,
-                (slice(None), term[keep], cols[keep]),
-                g[:, keep],
-            )
-        return w
-
-    def solve(self, b, lin=None, active=None):
-        self._factor()
-        if lin is None:
-            return self._backsolve(b.T).T
-        if not self._use_woodbury:
-            return self._dense_solve(b, lin)
-        num = b.shape[0]
-        y = self._backsolve(b.T).T                               # (A, m)
-        w = self._build_w(lin, num)                              # (A, m, F)
-        wt = w.transpose(0, 2, 1)                                # (A, F, m)
-        cap = np.eye(self.space.plan.num_fets) + wt @ self._z    # (A, F, F)
-        try:
-            t = np.linalg.solve(cap, wt @ y[..., None])          # (A, F, 1)
-        except np.linalg.LinAlgError:
-            get_telemetry().incr("woodbury_fallbacks")
-            return self._dense_solve(b, lin)
-        x = y - (self._z @ t)[..., 0]
-        # Guard: verify (A0 + U W^T) x == b to solver precision.
-        resid = (
-            x @ self._base.T
-            + ((x[:, None, :] @ w)[..., 0, :] @ self.space.fet_u.T)
-            - b
-        )
-        scale = np.abs(b).max() + 1e-300
-        if np.abs(resid).max() > self.RESIDUAL_TOL * max(scale, 1.0):
-            get_telemetry().incr("woodbury_fallbacks")
-            return self._dense_solve(b, lin)
-        get_telemetry().incr("woodbury_updates")
-        return x
-
-
-class BatchedDense(LinearSolver):
-    """Stacked dense backend: all corners through one broadcasted solve.
-
-    The base matrix may be shared across corners (``(m, m)``, the common
-    Monte Carlo case where only MOSFET parameters vary) or fully stacked
-    (``(S, m, m)`` for per-corner resistor or capacitor overrides).
-    ``active`` restricts assembly and the LAPACK call to the corners
-    still iterating.
-    """
-
-    def __init__(self, space: SolveSpace):
-        super().__init__(space)
-        self._base: Optional[np.ndarray] = None
-
-    def set_base(self, a_base: np.ndarray) -> None:
-        self._base = a_base
-
-    def solve(self, b, lin=None, active=None):
-        get_telemetry().incr("batched_solves")
-        num = b.shape[0]
-        base = self._base
-        if base.ndim == 2:
-            a = np.broadcast_to(base, (num,) + base.shape).copy()
-        elif active is None:
-            a = base.copy()
-        else:
-            a = base[active]
-        if lin is not None:
-            self.space.stamp_fet_matrix(a, lin)
-        return batched_dense_solve(a, b)
-
-
-class SparseLU(DenseLU):
-    """CSC backend with an ``splu``-cached factorization.
-
-    The MNA matrices of the paper's segment and ring circuits are
-    chain-structured and sparse (a handful of nonzeros per row), so
-    above modest dimensions a sparse factorization beats the dense LU.
-    The sparsity structure is compiled once from the
-    :meth:`~repro.spice.stamping.SolveSpace.sparse_pattern` scatter
-    targets -- no dense scan per refactorization; the gathered values
-    are cross-checked against the dense base so a stray out-of-pattern
-    entry falls back to an exact conversion instead of being dropped.
-
-    Everything else -- the Sherman-Morrison-Woodbury low-rank MOSFET
-    update, the residual guard, the dense fallback -- is inherited from
-    :class:`DenseLU`; only the factorization strategy differs.
-    """
-
-    def __init__(self, space: SolveSpace):
-        if _splu is None:  # pragma: no cover - scipy is baked into CI
-            raise RuntimeError(
-                "the 'sparse' backend requires scipy.sparse; "
-                "use 'dense_lu' instead"
-            )
-        super().__init__(space)
-        self._rows, self._cols = space.sparse_pattern()
-
-    def _factorize(self, a: np.ndarray):
-        tele = get_telemetry()
-        mat = _csc_matrix(
-            (a[self._rows, self._cols], (self._rows, self._cols)),
-            shape=a.shape,
-        )
-        if mat.nnz != np.count_nonzero(a) and not np.array_equal(
-            mat.toarray(), a
-        ):
-            # Values landed outside the compiled pattern (e.g. a caller
-            # edited the base in place); exact conversion keeps the
-            # solve correct and telemetry flags the pattern miss.
-            tele.incr("sparse_pattern_misses")
-            mat = _csc_matrix(a)
-        tele.incr("sparse_refactorizations")
-        return _splu(mat)
-
-    def _backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._factorization.solve(np.asarray(rhs, dtype=float))
-
-
-#: Backend registry: name -> solver class.
-_BACKENDS: Dict[str, Type[LinearSolver]] = {}
-
-
-def register_backend(name: str, cls: Type[LinearSolver]) -> None:
-    """Register a solver backend under ``name`` (overwrites existing)."""
-    cls.name = name
-    _BACKENDS[name] = cls
-
-
-def available_backends() -> Dict[str, Type[LinearSolver]]:
-    """Mapping of registered backend names to classes (a copy)."""
-    return dict(_BACKENDS)
-
-
-BackendSpec = Union[str, Type[LinearSolver]]
-
-#: ``"auto"`` picks the sparse backend at or above this solve dimension.
-#: Below it the dense LU's BLAS constant factors win; the crossover was
-#: measured on the paper's chain-structured segment/ring matrices.
-SPARSE_AUTO_DIM = 48
-
-
-def resolve_backend(backend: BackendSpec, space: SolveSpace) -> BackendSpec:
-    """Resolve the ``"auto"`` backend choice for one solve space.
-
-    ``"auto"`` maps to ``"sparse"`` when scipy.sparse is available and
-    the space's dimension is at least :data:`SPARSE_AUTO_DIM`, else to
-    ``"dense_lu"``.  Every other spec passes through unchanged.
-    """
-    if backend == "auto":
-        if _splu is not None and space.dim >= SPARSE_AUTO_DIM:
-            return "sparse"
-        return "dense_lu"
-    return backend
-
-
-def make_solver(backend: BackendSpec, space: SolveSpace) -> LinearSolver:
-    """Instantiate a backend from a registry name, a solver class, or
-    ``"auto"`` (size-thresholded sparse/dense choice per solve space)."""
-    backend = resolve_backend(backend, space)
-    if isinstance(backend, str):
-        try:
-            cls = _BACKENDS[backend]
-        except KeyError:
-            raise KeyError(
-                f"unknown linear-solver backend {backend!r}; "
-                f"available: {sorted(_BACKENDS)}"
-            ) from None
-    else:
-        cls = backend
-    return cls(space)
-
-
-register_backend("dense", DenseDirect)
-register_backend("dense_lu", DenseLU)
-register_backend("batched", BatchedDense)
-if _splu is not None:  # registered only on scipy-equipped hosts
-    register_backend("sparse", SparseLU)

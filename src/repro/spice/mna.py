@@ -10,7 +10,7 @@ its historical attribute surface (``a_linear``, ``fet_d``, ``source_rhs``,
 ``newton_solve``, ...) as thin views over the plan.
 
 The Newton-Raphson iteration itself lives in :mod:`repro.spice.stepper`
-(the *stepper layer*) and runs over pluggable linear-algebra backends from
+(the *stepper layer*) over the stacked dense solve of
 :mod:`repro.spice.linalg`; :meth:`MnaSystem.newton_solve` wraps it for the
 scalar full-matrix call signature older code and tests use.
 """
@@ -146,17 +146,13 @@ class MnaSystem:
         """
         # Deferred import: the stepper layer imports NewtonOptions and
         # ConvergenceError from this module.
-        from repro.spice.linalg import make_solver
         from repro.spice.stepper import newton_iterate
 
         # The reduced space keeps all unknowns except ground, ordered as
         # in the full vector, so ``a_base[1:, 1:]`` matches its layout.
-        space = self.plan.reduced
-        solver = make_solver("batched", space)
-        solver.set_base(np.ascontiguousarray(a_base[1:, 1:]))
         x = newton_iterate(
-            solver,
-            space,
+            np.ascontiguousarray(a_base[1:, 1:]),
+            self.plan.reduced,
             self._nominal_fets,
             np.ascontiguousarray(b_base[1:])[None, :],
             np.asarray(v_guess, dtype=float)[None, :],

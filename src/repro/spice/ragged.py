@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.spice.batch import BatchedResult, BatchedSimulation
 from repro.spice.cache import fingerprint
-from repro.spice.linalg import batched_dense_solve
+from repro.spice.linalg import batched_dense_solve, stamped_matrix
 from repro.spice.mna import ConvergenceError, NewtonOptions
 from repro.spice.netlist import Circuit
 from repro.spice.stamping import StampPlan
@@ -154,7 +154,6 @@ class _PackMember:
             a_linear=self.space.assemble_linear(sim.res_g),
             bpin_linear=self.space.bpin_linear(sim.res_g),
             options=sim.options,
-            backend=sim.backend,
             num_corners=sim.num_corners,
         )
         # Live integration state, set by RaggedPack.transient().
@@ -444,7 +443,7 @@ class RaggedPack:
                     space.stamp_fet_rhs(b, lin)
                     if fet_vpin is not None:
                         space.stamp_fet_pin_rhs(b, lin, fet_vpin)
-                a = self._stamped_matrix(member, mats[j][0], lin, active)
+                a = stamped_matrix(space, mats[j][0], lin, active)
                 work.append((j, xa, a, b))
 
             try:
@@ -497,29 +496,6 @@ class RaggedPack:
             for member, active in zip(self.members, actives)
             for c in active
         ]
-
-    @staticmethod
-    def _stamped_matrix(
-        member: _PackMember,
-        base: np.ndarray,
-        lin: object,
-        active: np.ndarray,
-    ) -> np.ndarray:
-        """The member's stamped Newton matrix for its active corners.
-
-        Reproduces the batched backend's assembly exactly: broadcast a
-        shared base, else gather the active corners of a stacked base,
-        then stamp the MOSFET linearization.
-        """
-        if base.ndim == 2:
-            a = np.broadcast_to(base, (len(active),) + base.shape).copy()
-        elif len(active) == member.num_corners:
-            a = base.copy()
-        else:
-            a = base[active]
-        if lin is not None:
-            member.space.stamp_fet_matrix(a, lin)
-        return a
 
     # -- inner solves --------------------------------------------------
     def _bucketed_solve(

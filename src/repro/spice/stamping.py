@@ -315,20 +315,6 @@ class SolveSpace:
         self.fet_pin_sel = fet_p[self.fet_pin_src]
         self.has_fet_pins = len(self.fet_pin_src) > 0
 
-        # Per-terminal solve-space columns (for low-rank backends).
-        self.fet_col_d = col_map[plan.fet_d]
-        self.fet_col_g = col_map[plan.fet_g]
-        self.fet_col_s = col_map[plan.fet_s]
-        self.fet_col_b = col_map[plan.fet_b]
-        # Column f of U is e_drain - e_source (rank-F delta structure).
-        u = np.zeros((dim, plan.num_fets))
-        cols = np.arange(plan.num_fets)
-        kd = self.fet_col_d >= 0
-        np.add.at(u, (self.fet_col_d[kd], cols[kd]), 1.0)
-        ks = self.fet_col_s >= 0
-        np.add.at(u, (self.fet_col_s[ks], cols[ks]), -1.0)
-        self.fet_u = u
-
         # -- independent sources in this space ------------------------
         b_static = np.zeros(dim)
         dynamic: List[Tuple[int, float, object]] = []
@@ -352,38 +338,6 @@ class SolveSpace:
                     dynamic.append((r, sign, src.waveform))
         self.b_static = b_static
         self._dynamic_sources = dynamic
-        self._sparse_pattern: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    # ------------------------------------------------------------------
-    # Sparsity
-    # ------------------------------------------------------------------
-    def sparse_pattern(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinates of every potential Jacobian nonzero in this space.
-
-        Compiled from the same scatter targets the stamp methods write
-        through: the static matrix (gmin diagonal + source incidence),
-        the resistor and capacitor quad stamps, the MOSFET Jacobian
-        entries, and the full diagonal (gmin stepping and ``.IC`` clamps
-        add there).  Sparse backends build their CSR/CSC structure from
-        this pattern instead of scanning assembled dense matrices.
-
-        Returns:
-            ``(rows, cols)`` index arrays, deduplicated and ordered by
-            flat position; cached after the first call.
-        """
-        if self._sparse_pattern is None:
-            dim = self.dim
-            diag = np.arange(dim, dtype=np.intp)
-            flat = np.concatenate([
-                np.flatnonzero(self.a_static.reshape(-1)).astype(np.intp),
-                diag * dim + diag,
-                self.res_a.targets,
-                self.cap_a.targets,
-                self.fet_a.targets,
-            ])
-            targets = np.unique(flat)
-            self._sparse_pattern = (targets // dim, targets % dim)
-        return self._sparse_pattern
 
     # ------------------------------------------------------------------
     # Pinned voltages and solution scatter

@@ -10,7 +10,7 @@ trapezoidal / backward-Euler integrator with local step bisection.  Both
 All state is batched: the solution ``x`` is ``(S, size)`` in *full*
 coordinates (ground row included, pinned nodes held at their known
 voltages), while matrices and RHS vectors handed to the
-:mod:`repro.spice.linalg` backends live in the coordinates of a
+:mod:`repro.spice.linalg` solve live in the coordinates of a
 :class:`~repro.spice.stamping.SolveSpace`.  DC analysis runs in the
 :attr:`~repro.spice.stamping.StampPlan.reduced` space (branch currents
 kept, so operating points report source currents); the transient loop
@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.spice.linalg import BackendSpec, LinearSolver, make_solver
+from repro.spice.linalg import batched_dense_solve, stamped_matrix
 from repro.spice.mna import ConvergenceError, NewtonOptions
 from repro.spice.stamping import FetParams, SolveSpace
 from repro.telemetry import get_telemetry
@@ -89,7 +89,7 @@ def newton_update(
 
 
 def newton_iterate(
-    solver: LinearSolver,
+    a_base: np.ndarray,
     space: SolveSpace,
     fets: Optional[FetParams],
     b_base: np.ndarray,
@@ -102,8 +102,10 @@ def newton_iterate(
     """Damped Newton-Raphson over a batch of corners.
 
     Args:
-        solver: Backend with the base matrix already installed.
-        space: Solve space the solver operates in.
+        a_base: Base matrix of the solve space, shared ``(dim, dim)``
+            or stacked ``(S, dim, dim)`` (see
+            :func:`~repro.spice.linalg.stamped_matrix`).
+        space: Solve space of ``a_base``.
         fets: MOSFET parameters (``None`` or empty for linear circuits).
         b_base: Linear part of the solve-space RHS, shape ``(S, dim)``
             (pinned-column corrections already applied).
@@ -155,8 +157,10 @@ def newton_iterate(
             space.stamp_fet_rhs(b, lin)
             if fet_vpin is not None:
                 space.stamp_fet_pin_rhs(b, lin, fet_vpin)
+        tele.incr("batched_solves")
+        a = stamped_matrix(space, a_base, lin, active)
         try:
-            sol = solver.solve(b, lin, active)
+            sol = batched_dense_solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular MNA matrix during Newton solve ({label or 'unnamed'})",
@@ -198,7 +202,6 @@ def solve_dc_plan(
     space: SolveSpace,
     fets: Optional[FetParams],
     options: NewtonOptions,
-    backend: BackendSpec,
     num_corners: int,
     t: float = 0.0,
     ics: Optional[Dict[str, float]] = None,
@@ -236,12 +239,10 @@ def solve_dc_plan(
                 continue
             a[..., idx, idx] += CLAMP_G
             b[..., idx] += CLAMP_G * voltage
-    solver = make_solver(backend, space)
-    solver.set_base(a)
     x0 = guess.copy() if guess is not None else np.zeros((num_corners, plan.size))
     try:
         return newton_iterate(
-            solver, space, fets, b, x0, options,
+            a, space, fets, b, x0, options,
             label="dc", pinned=vpin, fet_vpin=fet_vpin,
         )
     except ConvergenceError:
@@ -254,14 +255,12 @@ def solve_dc_plan(
     for gstep in np.logspace(0, -9, 19):
         a_step = a.copy()
         a_step[..., diag, diag] += gstep
-        solver.set_base(a_step)
         x = newton_iterate(
-            solver, space, fets, b, x, options,
+            a_step, space, fets, b, x, options,
             label=f"dc gmin={gstep:.1e}", pinned=vpin, fet_vpin=fet_vpin,
         )
-    solver.set_base(a)
     return newton_iterate(
-        solver, space, fets, b, x, options,
+        a, space, fets, b, x, options,
         label="dc final", pinned=vpin, fet_vpin=fet_vpin,
     )
 
@@ -275,7 +274,7 @@ class SteppedResult:
 
 
 class TransientStepper:
-    """Generic trap/BE integrator parameterized over a solver backend.
+    """Generic trap/BE integrator over the stacked dense Newton solve.
 
     One instance simulates one compiled system: a
     :class:`~repro.spice.stamping.SolveSpace` plus (possibly per-corner)
@@ -292,7 +291,6 @@ class TransientStepper:
         cap_c: np.ndarray,
         a_linear: np.ndarray,
         options: NewtonOptions,
-        backend: BackendSpec,
         num_corners: int,
         bpin_linear: Optional[np.ndarray] = None,
     ):
@@ -305,7 +303,6 @@ class TransientStepper:
             bpin_linear = space.bpin_linear()
         self.bpin_linear = bpin_linear
         self.options = options
-        self.backend = backend
         self.num_corners = num_corners
 
     # -- assembly helpers ------------------------------------------------
@@ -329,14 +326,6 @@ class TransientStepper:
         else:
             bpin = self.bpin_linear
         return a, geq, bpin
-
-    def _make_solver(
-        self, h: float, use_trap: bool
-    ) -> Tuple[LinearSolver, np.ndarray, np.ndarray]:
-        a, geq, bpin = self._companion_matrix(h, use_trap)
-        solver = make_solver(self.backend, self.space)
-        solver.set_base(a)
-        return solver, geq, bpin
 
     # -- stepping --------------------------------------------------------
     def _assemble_rhs(
@@ -386,7 +375,7 @@ class TransientStepper:
 
     def _single_step(
         self,
-        solver: LinearSolver,
+        a_base: np.ndarray,
         geq: np.ndarray,
         bpin: np.ndarray,
         use_trap: bool,
@@ -399,7 +388,7 @@ class TransientStepper:
             geq, bpin, use_trap, t_new, vc, ic
         )
         x_new = newton_iterate(
-            solver, self.space, self.fets, b, x_guess, self.options,
+            a_base, self.space, self.fets, b, x_guess, self.options,
             label=f"tran t={t_new:.3e}", pinned=vpin, fet_vpin=fet_vpin,
         )
         vc_new, ic_new = self._cap_state(x_new, geq, ieq, vc, use_trap)
@@ -412,7 +401,7 @@ class TransientStepper:
         ic: np.ndarray,
         t_from: float,
         t_to: float,
-        solver: LinearSolver,
+        a_base: np.ndarray,
         geq: np.ndarray,
         bpin: np.ndarray,
         use_trap: bool,
@@ -422,7 +411,7 @@ class TransientStepper:
         """Advance one step, bisecting locally on convergence failure."""
         try:
             return self._single_step(
-                solver, geq, bpin, use_trap, t_to, x_guess, vc, ic
+                a_base, geq, bpin, use_trap, t_to, x_guess, vc, ic
             )
         except ConvergenceError:
             if max_retries <= 0:
@@ -432,14 +421,14 @@ class TransientStepper:
             tele.incr("step_retries")
             tele.incr("step_halvings", 2)
             h_half = (t_to - t_from) / 2.0
-            solver_h, geq_h, bpin_h = self._make_solver(h_half, use_trap=False)
+            a_h, geq_h, bpin_h = self._companion_matrix(h_half, use_trap=False)
             t_mid = t_from + h_half
             x, vc, ic = self._advance(
-                x, vc, ic, t_from, t_mid, solver_h, geq_h, bpin_h,
+                x, vc, ic, t_from, t_mid, a_h, geq_h, bpin_h,
                 use_trap=False, x_guess=x, max_retries=max_retries - 1,
             )
             return self._advance(
-                x, vc, ic, t_mid, t_to, solver_h, geq_h, bpin_h,
+                x, vc, ic, t_mid, t_to, a_h, geq_h, bpin_h,
                 use_trap=False, x_guess=x, max_retries=max_retries - 1,
             )
 
@@ -477,9 +466,9 @@ class TransientStepper:
         ic = np.zeros_like(vc)
 
         use_trap_default = method == "trap"
-        solver_be, geq_be, bpin_be = self._make_solver(timestep, use_trap=False)
+        a_be, geq_be, bpin_be = self._companion_matrix(timestep, use_trap=False)
         if use_trap_default:
-            solver_trap, geq_trap, bpin_trap = self._make_solver(
+            a_trap, geq_trap, bpin_trap = self._companion_matrix(
                 timestep, use_trap=True
             )
 
@@ -489,14 +478,14 @@ class TransientStepper:
             # First step uses BE to avoid trapezoidal ringing from DC.
             trap_now = use_trap_default and k > 1
             if trap_now:
-                solver, geq, bpin = solver_trap, geq_trap, bpin_trap
+                a_base, geq, bpin = a_trap, geq_trap, bpin_trap
             else:
-                solver, geq, bpin = solver_be, geq_be, bpin_be
+                a_base, geq, bpin = a_be, geq_be, bpin_be
             # Linear prediction of the next time point speeds Newton up.
             x_guess = 2.0 * x - x_prev if k > 1 else x
             x_prev = x
             x, vc, ic = self._advance(
-                x, vc, ic, times[k - 1], t_new, solver, geq, bpin,
+                x, vc, ic, times[k - 1], t_new, a_base, geq, bpin,
                 use_trap=trap_now, x_guess=x_guess, max_retries=max_retries,
             )
             for node, idx in record_idx.items():

@@ -13,8 +13,8 @@ metastable equilibrium.
 
 The integration loop itself is the shared
 :class:`repro.spice.stepper.TransientStepper`; this function is the
-scalar wrapper (a batch of one corner) and defaults to the cached-LU
-linear-algebra backend.
+scalar wrapper (a batch of one corner), so its steps take the same
+stacked dense solve as the batched ones.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.spice.dc import solve_dc
-from repro.spice.linalg import BackendSpec
 from repro.spice.mna import MnaSystem, NewtonOptions
 from repro.spice.netlist import Circuit
 from repro.spice.staticcheck import preflight_circuit
@@ -57,7 +56,6 @@ def transient(
     record: Optional[Iterable[str]] = None,
     options: Optional[NewtonOptions] = None,
     max_retries: int = 4,
-    backend: BackendSpec = "dense_lu",
     preflight: bool = True,
 ) -> TransientResult:
     """Run a transient analysis of ``circuit``.
@@ -73,8 +71,6 @@ def transient(
         options: Newton solver options.
         max_retries: On a non-convergent step, the step is retried with a
             locally halved timestep up to this many times.
-        backend: Linear-solver backend name or class
-            (see :mod:`repro.spice.linalg`).
         preflight: Run the :mod:`repro.spice.staticcheck` analyzer and
             reject ill-posed circuits (floating nodes, source loops,
             structural singularities) with a named-element
@@ -110,7 +106,6 @@ def transient(
         cap_c=plan.cap_c0,
         a_linear=space.assemble_linear(),
         options=system.options,
-        backend=backend,
         num_corners=1,
     )
     stepped = stepper.run(

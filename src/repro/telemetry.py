@@ -2,10 +2,9 @@
 
 The screening engine's scaling work needs visibility into *where*
 simulation time goes: how many Newton iterations each transient burns,
-how often the integrator bisects a step, whether the cached-LU backend
-is riding its Woodbury fast path or refactorizing, and how well the
-solve cache is doing.  This module is the one place those numbers
-accumulate.
+how often the integrator bisects a step, how many stacked linear solves
+the Newton loop issues, and how well the solve cache is doing.  This
+module is the one place those numbers accumulate.
 
 This module *is* the canonical import path.  It lives at the top level
 (dependency-free) so the :mod:`repro.spice` solver layers can import it
@@ -33,11 +32,8 @@ Counter names used by the stack (all optional -- absent means zero):
 ``newton_failures``        Solves that exhausted ``max_iterations``.
 ``step_retries``           Transient steps that failed and were retried.
 ``step_halvings``          Half-steps taken by the local bisection fallback.
-``lu_refactorizations``    Base-matrix LU factorizations (DenseLU).
-``woodbury_updates``       Low-rank Sherman-Morrison-Woodbury solves.
-``woodbury_fallbacks``     Woodbury results rejected by the residual guard.
-``dense_solves``           Full dense assemble-and-solve calls.
-``batched_solves``         Stacked LAPACK solve calls (BatchedDense).
+``batched_solves``         Stacked LAPACK solve calls of the Newton loop
+                           (scalar analyses are stacks of one).
 ``cache_hits``             Solve-cache lookups served from memory.
 ``cache_misses``           Solve-cache lookups that had to compute.
 ``cache_evictions``        Entries evicted by a bounded solve cache.
@@ -396,13 +392,7 @@ for _name, _desc in [
     ("newton_failures", "solves that exhausted max_iterations"),
     ("step_retries", "transient steps that failed and were retried"),
     ("step_halvings", "half-steps taken by the bisection fallback"),
-    ("lu_refactorizations", "base-matrix LU factorizations (DenseLU)"),
-    ("woodbury_updates", "low-rank Sherman-Morrison-Woodbury solves"),
-    ("woodbury_fallbacks", "Woodbury results rejected by the residual guard"),
-    ("dense_solves", "full dense assemble-and-solve calls"),
-    ("batched_solves", "stacked LAPACK solve calls (BatchedDense)"),
-    ("sparse_refactorizations", "sparse LU factorizations (SparseLU)"),
-    ("sparse_pattern_misses", "sparse solves outside the compiled pattern"),
+    ("batched_solves", "stacked LAPACK solve calls of the Newton loop"),
     ("cache_hits", "solve-cache lookups served from memory"),
     ("cache_misses", "solve-cache lookups that had to compute"),
     ("cache_evictions", "entries evicted by a bounded solve cache"),

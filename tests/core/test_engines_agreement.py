@@ -215,7 +215,7 @@ class TestPairwiseSignAgreement:
 class TestRegistryGoldenParity:
     """A registry-built stage engine reproduces the checked-in goldens.
 
-    ``tests/spice/test_linalg_backends.py`` pins the directly
+    ``tests/spice/test_linalg.py`` pins the directly
     constructed ``StageDelayEngine`` to ``delta_t_parity.json``; this
     class pins the ``registry.get`` / ``EngineSpec`` construction path
     to the same numbers, so the registry provably changes no numerics.

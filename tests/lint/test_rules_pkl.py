@@ -274,6 +274,61 @@ class TestProcessWorkerSurface:
         assert result.diagnostics == []
 
 
+class TestProcessPoolFactory:
+    """Pools built by ``repro.service.procworker.process_pool``."""
+
+    FACTORY_IMPORT = "from repro.service.procworker import process_pool\n"
+
+    def test_lambda_in_submit(self, lint_source):
+        result = lint_source(
+            self.FACTORY_IMPORT +
+            "def run():\n"
+            "    with process_pool(2, print) as pool:\n"
+            "        pool.submit(lambda x: x, 1)\n",
+        )
+        assert rules_of(result) == ["PKL001"]
+
+    def test_positional_lambda_initializer(self, lint_source):
+        result = lint_source(
+            self.FACTORY_IMPORT +
+            "def run():\n"
+            "    return process_pool(2, lambda: None)\n",
+        )
+        assert rules_of(result) == ["PKL001"]
+
+    def test_positional_handle_in_initargs(self, lint_source):
+        result = lint_source(
+            self.FACTORY_IMPORT +
+            "import sqlite3\n"
+            "def setup(db):\n"
+            "    pass\n"
+            "def run():\n"
+            "    return process_pool(2, setup, (sqlite3.connect('x'),))\n",
+        )
+        assert rules_of(result) == ["PKL003"]
+
+    def test_module_level_initializer_is_clean(self, lint_source):
+        result = lint_source(
+            self.FACTORY_IMPORT +
+            "def setup(path):\n"
+            "    pass\n"
+            "def work(x):\n"
+            "    return x\n"
+            "def run(path, items):\n"
+            "    with process_pool(2, setup, (path,)) as pool:\n"
+            "        pool.map(work, items)\n",
+        )
+        assert result.diagnostics == []
+
+    def test_positional_initializer_of_executor(self, lint_source):
+        result = lint_source(
+            POOL_IMPORT +
+            "def run():\n"
+            "    return ProcessPoolExecutor(2, None, lambda: None)\n",
+        )
+        assert rules_of(result) == ["PKL001"]
+
+
 class TestScoping:
     def test_thread_pool_is_not_a_pickle_boundary(self, lint_source):
         result = lint_source(

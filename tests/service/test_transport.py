@@ -30,6 +30,7 @@ from repro.core.engines.base import (
 from repro.core.segments import RingOscillatorConfig
 from repro.core.tsv import Tsv
 from repro.service import (
+    ProcessTransport,
     ResponseStatus,
     ScreenRequest,
     ScreeningService,
@@ -274,6 +275,38 @@ class TestBrokenPool:
         assert all(r.status is ResponseStatus.OK for r in later)
         counters = telemetry.snapshot()["counters"]
         assert counters["service.pool_rebuilds"] == 1
+        assert multiprocessing.active_children() == []
+
+
+class TestWarmPool:
+    """Worker processes start with the pool, not on the first request."""
+
+    def test_start_forks_every_worker_before_any_request(self):
+        async def scenario():
+            async with ScreeningService(
+                engine="analytic", transport="process", num_workers=2,
+            ):
+                return len(multiprocessing.active_children())
+
+        assert asyncio.run(asyncio.wait_for(scenario(), timeout=60.0)) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_rebuilt_pool_is_warm(self):
+        async def scenario():
+            transport = ProcessTransport(
+                num_workers=2, clock=time.monotonic, engine_cache_size=4,
+            )
+            old = set(multiprocessing.active_children())
+            transport._rebuild(transport._pool)
+            fresh = set(multiprocessing.active_children()) - old
+            await transport.close()
+            return old, fresh
+
+        old, fresh = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        assert len(old) == 2
+        assert len(fresh) == 2
+        for proc in old:
+            proc.join(timeout=30.0)
         assert multiprocessing.active_children() == []
 
 
