@@ -15,12 +15,12 @@ The service's process transport (PR 9) added two more surfaces the
 pass understands: pools stored on ``self`` (``self._pool =
 ProcessPoolExecutor(...)`` followed by ``self._pool.submit(...)`` or
 ``loop.run_in_executor(self._pool, fn, *args)`` is a boundary like any
-other), and raw shared-memory segments.  Segment lifecycle belongs to
-:mod:`repro.service.arena` -- exactly one module creates, attaches,
-and audits ``SharedMemory`` -- so a raw
-``multiprocessing.shared_memory.SharedMemory`` anywhere else (or one
-shipped across a pool boundary) is flagged; everything outside the
-arena module talks in picklable ``ArenaHandle`` descriptors.
+other), and raw shared-memory segments.  Batches cross the process
+boundary pickled through the pool that
+:func:`repro.service.procworker.process_pool` builds; no module owns a
+segment's lifecycle, so a raw
+``multiprocessing.shared_memory.SharedMemory`` anywhere (or one shipped
+across a pool boundary) is flagged.
 
 Pools built by :func:`repro.service.procworker.process_pool` (which
 builds every pool in ``src/``) are boundaries like direct constructors;
@@ -40,9 +40,9 @@ pass is always actionable.
            ``EngineSpec``)
 ``PKL003`` open OS handle (file, sqlite connection) across a
            process-pool boundary
-``PKL004`` raw ``SharedMemory`` outside ``repro.service.arena`` (or
-           shipped across a pool boundary); segments stay behind the
-           ``Arena`` allocator, handles travel
+``PKL004`` raw ``SharedMemory`` anywhere (or shipped across a pool
+           boundary); batches are pickled through
+           ``repro.service.procworker.process_pool``
 =========  =============================================================
 """
 
@@ -81,9 +81,6 @@ _HANDLE_CALLS = {
 _SHM_CALLS = {
     "multiprocessing.shared_memory.SharedMemory",
 }
-
-#: The one module allowed to construct raw shared-memory segments.
-_ARENA_MODULE = "repro.service.arena"
 
 #: Resolved type names that mean "a live engine, not a spec".
 _ENGINE_TYPE_PREFIX = "repro.core.engines"
@@ -245,15 +242,13 @@ class _BoundaryVisitor(ast.NodeVisitor):
         if (
             func_name is not None
             and self.module.resolve(func_name) in _SHM_CALLS
-            and self.module.name != _ARENA_MODULE
         ):
             self._report(
                 node, "PKL004",
-                "raw SharedMemory constructed outside "
-                f"{_ARENA_MODULE}; segment lifecycle belongs to the "
-                "Arena allocator",
-                hint="create/attach through repro.service.arena.Arena "
-                     "and pass ArenaHandle descriptors around",
+                "raw SharedMemory constructed; batches cross the process "
+                "boundary pickled, not in shared segments",
+                hint="send the batch through a "
+                     "repro.service.procworker.process_pool pool",
             )
 
         if isinstance(node.func, ast.Attribute) and node.func.attr in (
@@ -339,10 +334,11 @@ class _BoundaryVisitor(ast.NodeVisitor):
         if kind == "shm":
             self._report(
                 expr, "PKL004",
-                f"raw SharedMemory {expr.id!r} as {where}; segments "
-                "stay behind the Arena allocator, handles travel",
+                f"raw SharedMemory {expr.id!r} as {where}; batches "
+                "cross the process boundary pickled, not in shared "
+                "segments",
                 names=(expr.id,),
-                hint="ship an ArenaHandle and attach in the worker",
+                hint="pass the data itself; the pool pickles it",
             )
             return
         if kind in ("lambda", "nested-func"):
@@ -404,7 +400,7 @@ rule(
 )
 rule(
     "PKL004", Severity.ERROR,
-    "raw SharedMemory outside the arena module (ArenaHandle required)",
+    "raw SharedMemory (batches are pickled through process_pool)",
 )
 
 

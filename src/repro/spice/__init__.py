@@ -15,8 +15,9 @@ This package replaces the HSPICE runs of the paper.  It provides:
 * :mod:`repro.spice.linalg` -- the linear-solve layer: one stacked
   dense assemble-and-solve for every Newton system, scalar (a stack of
   one) or batched.
-* :mod:`repro.spice.stepper` -- the stepper layer: the shared Newton
-  loop, DC solve, and trap/BE integrator.
+* :mod:`repro.spice.stepper` -- the stepper layer: the one Newton loop,
+  DC solve, and trap/BE time loop that scalar, batched and ragged
+  transients all run through.
 * :mod:`repro.spice.ragged` -- ragged cross-topology batch packing:
   mixed circuits advanced through one shared time loop with
   dimension-bucketed (bit-identical) stacked solves.

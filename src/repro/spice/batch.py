@@ -17,11 +17,11 @@ Supported per-corner overrides:
 * per-capacitor capacitance values (TSV capacitance variation).
 
 The numerical method is *identical* to :mod:`repro.spice.transient` by
-construction: both are wrappers around the shared
-:class:`repro.spice.stepper.TransientStepper`, which handles trapezoidal
-integration with a backward-Euler first step, damped Newton with
-per-corner convergence masking, linear prediction of the next time point,
-and local step bisection on convergence failure.
+construction: both hand a :class:`repro.spice.stepper.TransientStepper`
+to the shared :func:`repro.spice.stepper.integrate`, which handles
+trapezoidal integration with a backward-Euler first step, damped Newton
+with per-corner convergence masking, linear prediction of the next time
+point, and step bisection on convergence failure.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.spice.montecarlo import ProcessVariation, clamp_4sigma
 from repro.spice.netlist import Circuit
 from repro.spice.stamping import FetParams
 from repro.spice.staticcheck import preflight_circuit
-from repro.spice.stepper import TransientStepper, solve_dc_plan
+from repro.spice.stepper import TransientStepper, integrate, solve_dc_plan
 from repro.spice.waveform import Waveform
 
 
@@ -209,7 +209,7 @@ class BatchedSimulation:
         self.params = params
         self.options = options or NewtonOptions()
         self.num_corners = params.num_corners
-        # The scalar system provides the compiled plan (and legacy views).
+        # The scalar system provides the compiled plan.
         self.system = MnaSystem(circuit, self.options)
         self.plan = self.system.plan
         self.size = self.plan.size
@@ -285,6 +285,23 @@ class BatchedSimulation:
             a_linear=space.assemble_linear(self.res_g),
         )
 
+    def stepper(self) -> TransientStepper:
+        """This batch's transient system in the condensed space.
+
+        Stepping runs there: source-driven rails and inputs are
+        eliminated, shrinking every per-step stacked solve.
+        """
+        space = self.plan.condensed
+        return TransientStepper(
+            space=space,
+            fets=self.fets,
+            cap_c=self.cap_c,
+            a_linear=space.assemble_linear(self.res_g),
+            bpin_linear=space.bpin_linear(self.res_g),
+            options=self.options,
+            num_corners=self.num_corners,
+        )
+
     def transient(
         self,
         stop_time: float,
@@ -295,33 +312,13 @@ class BatchedSimulation:
         max_retries: int = 4,
     ) -> BatchedResult:
         """Run the batched transient; see :func:`repro.spice.transient.transient`."""
-        if method not in ("trap", "be"):
-            raise ValueError(f"unknown integration method {method!r}")
-        if timestep <= 0 or stop_time <= 0:
-            raise ValueError("stop_time and timestep must be positive")
         x = self.solve_dc(ics=ics)
-
         record_nodes = list(record) if record is not None else self.circuit.nodes
         record_idx = {n: self.circuit.node_index(n) for n in record_nodes}
-
-        # Stepping runs in the condensed space: source-driven rails and
-        # inputs are eliminated, shrinking every per-step stacked solve.
-        space = self.plan.condensed
-        stepper = TransientStepper(
-            space=space,
-            fets=self.fets,
-            cap_c=self.cap_c,
-            a_linear=space.assemble_linear(self.res_g),
-            bpin_linear=space.bpin_linear(self.res_g),
-            options=self.options,
-            num_corners=self.num_corners,
-        )
-        stepped = stepper.run(
-            stop_time, timestep, x, record_idx,
+        times, (traces,) = integrate(
+            [self.stepper()], [x], [record_idx], stop_time, timestep,
             method=method, max_retries=max_retries,
         )
         return BatchedResult(
-            time=stepped.time,
-            voltages=stepped.traces,
-            num_corners=self.num_corners,
+            time=times, voltages=traces, num_corners=self.num_corners
         )

@@ -12,8 +12,9 @@ treatment -- which is how we start ring oscillators away from their
 metastable DC solution.
 
 The solve itself is the shared :func:`repro.spice.stepper.solve_dc_plan`
-(one implementation for scalar and batched analyses); this module keeps
-the historical scalar entry points.
+(one implementation for scalar and batched analyses, through the
+stepper's one Newton loop, in the plan's reduced space); this module
+keeps the scalar entry points.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ import numpy as np
 
 from repro.spice.mna import MnaSystem, NewtonOptions
 from repro.spice.netlist import Circuit
-from repro.spice.stepper import CLAMP_G, solve_dc_plan
-
-#: Conductance used to clamp .IC nodes (siemens).
-_CLAMP_G = CLAMP_G
+from repro.spice.stepper import solve_dc_plan
 
 
 def solve_dc(
@@ -42,7 +40,7 @@ def solve_dc(
     # reports voltage-source branch currents.
     x = solve_dc_plan(
         plan.reduced,
-        plan.nominal_fets() if plan.num_fets else None,
+        plan.nominal_fets(),
         system.options,
         num_corners=1,
         t=t,

@@ -8,24 +8,21 @@ assembles scalar ``(n, n)`` systems and stacked ``(S, n, n)`` batched
 systems: every stamp method operates on the trailing axes only, so a
 leading batch axis broadcasts through untouched.
 
-Two views of the system exist:
+Solution vectors live in the *full* ``size`` space including ground;
+every assembly happens in a :class:`SolveSpace` -- the unknowns the
+linear solvers actually see.  A space eliminates a set of *pinned*
+nodes whose voltages are known a priori and moves their matrix columns
+to the right-hand side.  Two spaces are compiled lazily per plan:
 
-* the *full* ``size x size`` space including the ground row/column (what
-  :class:`~repro.spice.mna.MnaSystem` historically exposed);
-* a :class:`SolveSpace` -- the unknowns the linear solvers actually see.
-  A space eliminates a set of *pinned* nodes whose voltages are known a
-  priori and moves their matrix columns to the right-hand side.  Two
-  spaces are compiled lazily per plan:
-
-  - :attr:`StampPlan.reduced`: only ground is pinned (at 0 V).  This is
-    the historical ``A[1:, 1:]`` system; voltage-source branch currents
-    remain unknowns, which DC analysis reports.
-  - :attr:`StampPlan.condensed`: every node driven (transitively) by
-    voltage sources from ground is pinned, and those sources' branch
-    current unknowns are absorbed.  For the paper's I/O-segment circuits
-    this shrinks the matrix by roughly a third, which is where most of
-    the batched Monte Carlo speedup comes from: the ``(S, n, n)``
-    LAPACK solve is cubic in ``n``.
+* :attr:`StampPlan.reduced`: only ground is pinned (at 0 V).  This is
+  the classical ``A[1:, 1:]`` system; voltage-source branch currents
+  remain unknowns, which DC analysis reports.
+* :attr:`StampPlan.condensed`: every node driven (transitively) by
+  voltage sources from ground is pinned, and those sources' branch
+  current unknowns are absorbed.  For the paper's I/O-segment circuits
+  this shrinks the matrix by roughly a third, which is where most of
+  the batched Monte Carlo speedup comes from: the ``(S, n, n)``
+  LAPACK solve is cubic in ``n``.
 
 Scatter indices with duplicate targets (e.g. two resistors sharing a
 node) are combined at build time: a :class:`ScatterPlan` sorts the
@@ -239,7 +236,6 @@ class SolveSpace:
                 pin_dynamic.append((p, coef, wf))
         self._pin_const = pin_const
         self._pin_dynamic = pin_dynamic
-        self.has_dynamic_pins = bool(pin_dynamic)
 
         # -- unknown ordering: kept nodes first, then kept currents ----
         col_map = np.full(size, -1, dtype=np.intp)
@@ -427,10 +423,6 @@ class SolveSpace:
         vals = lin.matrix_vals()[..., self.fet_pin_src]
         self.fet_pin_b.add(b, -(vals * vpin_entries))
 
-    def scatter_solution(self, x_full: np.ndarray, sol: np.ndarray) -> None:
-        """Write solve-space solution values into full coordinates."""
-        x_full[..., self.kept] = sol
-
 
 class StampPlan:
     """Compiled assembly structure of one circuit.
@@ -438,10 +430,10 @@ class StampPlan:
     The plan is parameter-free: element *values* (conductances,
     capacitances, MOSFET model arrays) are passed to the assembly
     methods, which lets one plan serve both the nominal scalar system
-    and any number of per-corner overridden batched systems.  Full-space
-    (ground row/column included) stamps live here; solve-space stamps
-    live on the lazily compiled :attr:`reduced` / :attr:`condensed`
-    :class:`SolveSpace` views.
+    and any number of per-corner overridden batched systems.  The plan
+    holds element incidence in full coordinates and linearizes MOSFETs;
+    stamps live on the lazily compiled :attr:`reduced` /
+    :attr:`condensed` :class:`SolveSpace` views.
     """
 
     def __init__(self, circuit: Circuit, gmin: float = 0.0):
@@ -450,7 +442,6 @@ class StampPlan:
         self.num_nodes = circuit.num_nodes
         self.num_vsrc = len(circuit.vsources)
         self.size = self.num_nodes + self.num_vsrc
-        size = self.size
 
         # -- resistors ------------------------------------------------
         self.res_i = np.array(
@@ -461,23 +452,6 @@ class StampPlan:
         )
         self.num_resistors = len(self.res_i)
         self.res_g0 = np.array([r.conductance for r in circuit.resistors])
-        res_rows = np.concatenate([self.res_i, self.res_j, self.res_i, self.res_j])
-        res_cols = np.concatenate([self.res_i, self.res_j, self.res_j, self.res_i])
-        self.res_a = ScatterPlan(res_rows * size + res_cols)
-
-        # -- static part: gmin diagonal + voltage-source incidence ----
-        a_static = np.zeros((size, size))
-        idx = np.arange(1, self.num_nodes)
-        a_static[idx, idx] += gmin
-        for k, src in enumerate(circuit.vsources):
-            row = self.num_nodes + k
-            i = circuit.node_index(src.npos)
-            j = circuit.node_index(src.nneg)
-            a_static[i, row] += 1.0
-            a_static[j, row] -= 1.0
-            a_static[row, i] += 1.0
-            a_static[row, j] -= 1.0
-        self.a_static = a_static
 
         # -- capacitors -----------------------------------------------
         self.cap_n1 = np.array(
@@ -488,10 +462,6 @@ class StampPlan:
         )
         self.num_caps = len(self.cap_n1)
         self.cap_c0 = np.array([c.capacitance for c in circuit.capacitors])
-        cap_rows = np.concatenate([self.cap_n1, self.cap_n2, self.cap_n1, self.cap_n2])
-        cap_cols = np.concatenate([self.cap_n1, self.cap_n2, self.cap_n2, self.cap_n1])
-        self.cap_a = ScatterPlan(cap_rows * size + cap_cols)
-        self.cap_b = ScatterPlan(np.concatenate([self.cap_n1, self.cap_n2]))
 
         # -- MOSFETs --------------------------------------------------
         fets = circuit.mosfets
@@ -504,8 +474,6 @@ class StampPlan:
         self.fet_rows = np.concatenate([d, d, d, d, s, s, s, s])
         self.fet_cols = np.concatenate([d, g, s, b, d, g, s, b])
         self.fet_rhs_rows = np.concatenate([d, s])
-        self.fet_a = ScatterPlan(self.fet_rows * size + self.fet_cols)
-        self.fet_b_plan = ScatterPlan(self.fet_rhs_rows)
 
         self.fet_n = np.array([f.model.n for f in fets])
         self.fet_lam = np.array([f.model.lam for f in fets])
@@ -515,29 +483,6 @@ class StampPlan:
         self.fet_l = np.array([f.l for f in fets])
         self.fet_polarity = np.array([f.model.polarity for f in fets], dtype=int)
         self._fet_sign = self.fet_polarity.astype(float)
-
-        # -- independent sources --------------------------------------
-        # DC waveforms contribute a constant vector computed once; only
-        # genuinely time-varying waveforms are re-evaluated per step.
-        b_static = np.zeros(size)
-        dynamic: List[Tuple[int, float, object]] = []
-        for k, src in enumerate(circuit.vsources):
-            row = self.num_nodes + k
-            if isinstance(src.waveform, DC):
-                b_static[row] += src.waveform.level
-            else:
-                dynamic.append((row, 1.0, src.waveform))
-        for src in circuit.isources:
-            pos = circuit.node_index(src.npos)
-            neg = circuit.node_index(src.nneg)
-            if isinstance(src.waveform, DC):
-                b_static[pos] -= src.waveform.level
-                b_static[neg] += src.waveform.level
-            else:
-                dynamic.append((pos, -1.0, src.waveform))
-                dynamic.append((neg, 1.0, src.waveform))
-        self.b_static = b_static
-        self._dynamic_sources = dynamic
 
         self._reduced: Optional[SolveSpace] = None
         self._condensed: Optional[SolveSpace] = None
@@ -586,33 +531,8 @@ class StampPlan:
         )
 
     # ------------------------------------------------------------------
-    # Full-space assembly (legacy surface used by MnaSystem)
+    # MOSFET linearization
     # ------------------------------------------------------------------
-    def assemble_linear(self, res_g: Optional[np.ndarray] = None) -> np.ndarray:
-        """Assemble the full (ground-included) time-invariant matrix."""
-        if res_g is None:
-            res_g = self.res_g0
-        res_g = np.asarray(res_g, dtype=float)
-        shape = res_g.shape[:-1] + self.a_static.shape
-        a = np.zeros(shape)
-        a += self.a_static
-        self.res_a.add(a.reshape(shape[:-2] + (-1,)), _quad_vals(res_g))
-        return a
-
-    def source_rhs_into(self, b: np.ndarray, t: float) -> None:
-        """Add independent-source contributions at time ``t`` into ``b``."""
-        b += self.b_static
-        for row, sign, waveform in self._dynamic_sources:
-            b[..., row] += sign * waveform.value(t)
-
-    def stamp_capacitor_matrix(self, a: np.ndarray, geq: np.ndarray) -> None:
-        """Stamp companion conductances ``geq`` (per capacitor) into ``a``."""
-        self.cap_a.add(a.reshape(a.shape[:-2] + (-1,)), _quad_vals(geq))
-
-    def stamp_capacitor_rhs(self, b: np.ndarray, ieq: np.ndarray) -> None:
-        """Stamp companion currents ``ieq`` (into n1) into ``b``."""
-        self.cap_b.add(b, np.concatenate([ieq, -ieq], axis=-1))
-
     def linearize_fets(
         self, fets: FetParams, x: np.ndarray
     ) -> Optional[FetLinearization]:
@@ -632,11 +552,3 @@ class StampPlan:
         )
         ieq = i_d - g_d * vd - g_g * vg - g_s * vs - g_b * vb
         return FetLinearization(g_d=g_d, g_g=g_g, g_s=g_s, g_b=g_b, ieq=ieq)
-
-    def stamp_fet_matrix(self, a: np.ndarray, lin: FetLinearization) -> None:
-        """Stamp a MOSFET linearization's Jacobian entries into ``a``."""
-        self.fet_a.add(a.reshape(a.shape[:-2] + (-1,)), lin.matrix_vals())
-
-    def stamp_fet_rhs(self, b: np.ndarray, lin: FetLinearization) -> None:
-        """Stamp a MOSFET linearization's Norton currents into ``b``."""
-        self.fet_b_plan.add(b, lin.rhs_vals())

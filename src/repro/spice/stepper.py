@@ -1,11 +1,15 @@
-"""Shared Newton iteration, DC solve, and trap/BE transient stepper.
+"""The one Newton loop, DC solve, and trap/BE time loop of the stack.
 
-This is the *stepper layer* of the solver stack: one implementation of
-the damped Newton-Raphson loop, the gmin-stepping DC fallback, and the
-trapezoidal / backward-Euler integrator with local step bisection.  Both
-:func:`repro.spice.transient.transient` (scalar, as a batch of one) and
-:class:`repro.spice.batch.BatchedSimulation` are thin wrappers around
-:class:`TransientStepper`; neither carries integrator logic of its own.
+This is the *stepper layer* of the solver stack.  :func:`newton_iterate`
+is the damped Newton-Raphson loop over a list of systems, and
+:func:`integrate` is the trapezoidal / backward-Euler time loop with
+step bisection over a list of :class:`TransientStepper` systems.  A
+scalar transient (:func:`repro.spice.transient.transient`), a batched
+one (:class:`repro.spice.batch.BatchedSimulation`) and a ragged pack of
+mixed circuits (:class:`repro.spice.ragged.RaggedPack`) all call
+:func:`integrate`: a scalar run is a one-corner system, a batch is one
+system, and a pack is several.  None of them carries integrator logic
+of its own.
 
 All state is batched: the solution ``x`` is ``(S, size)`` in *full*
 coordinates (ground row included, pinned nodes held at their known
@@ -17,25 +21,31 @@ kept, so operating points report source currents); the transient loop
 runs in the :attr:`~repro.spice.stamping.StampPlan.condensed` space,
 where rail/input nodes driven by voltage sources are eliminated and the
 per-step LAPACK solve shrinks accordingly.  The Newton loop maintains a
-per-corner active set -- corners that have converged drop out of
-subsequent linearization, stamping, and solve work instead of being
-re-solved until the slowest corner finishes.
+per-system, per-corner active set -- corners that have converged drop
+out of subsequent linearization, stamping, and solve work instead of
+being re-solved until the slowest corner finishes -- and solves the
+active corners of all systems with one stacked call per matrix
+dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.spice.linalg import batched_dense_solve, stamped_matrix
 from repro.spice.mna import ConvergenceError, NewtonOptions
 from repro.spice.stamping import FetParams, SolveSpace
-from repro.telemetry import get_telemetry
+from repro.telemetry import Telemetry, get_telemetry
 
 #: Conductance used to clamp .IC nodes (siemens); standard SPICE ``.IC``.
 CLAMP_G = 1e3
+
+#: One system's ``(base matrix, geq, B_pin)`` for a step size and method.
+_Companions = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One system's integration state ``(x, vc, ic)``.
+_State = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def companion_geq(cap_c: np.ndarray, h: float, use_trap: bool) -> np.ndarray:
@@ -51,10 +61,8 @@ def newton_update(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One damped Newton acceptance step over the active corners.
 
-    The single implementation of the damping/convergence arithmetic,
-    shared by :func:`newton_iterate` and the ragged pack stepper
-    (:mod:`repro.spice.ragged`) so packed solves accept iterates with
-    bit-identical arithmetic to standalone solves.
+    The damping/convergence arithmetic of :func:`newton_iterate`,
+    applied per system.
 
     Args:
         xa: Current iterates, ``(A, size)`` full coordinates.
@@ -88,114 +96,205 @@ def newton_update(
     return xa, max_dv, worst, converged
 
 
-def newton_iterate(
-    a_base: np.ndarray,
-    space: SolveSpace,
-    fets: Optional[FetParams],
-    b_base: np.ndarray,
-    x_guess: np.ndarray,
-    options: NewtonOptions,
-    label: str = "",
-    pinned: Optional[np.ndarray] = None,
-    fet_vpin: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Damped Newton-Raphson over a batch of corners.
+class NewtonSystem(NamedTuple):
+    """One system's inputs to :func:`newton_iterate`.
 
-    Args:
-        a_base: Base matrix of the solve space, shared ``(dim, dim)``
-            or stacked ``(S, dim, dim)`` (see
-            :func:`~repro.spice.linalg.stamped_matrix`).
+    Attributes:
         space: Solve space of ``a_base``.
-        fets: MOSFET parameters (``None`` or empty for linear circuits).
-        b_base: Linear part of the solve-space RHS, shape ``(S, dim)``
+        a_base: Base matrix, shared ``(dim, dim)`` or stacked
+            ``(S, dim, dim)`` (see
+            :func:`~repro.spice.linalg.stamped_matrix`).
+        fets: MOSFET parameters (``None`` for linear circuits).
+        b_base: Linear part of the solve-space RHS, ``(S, dim)``
             (pinned-column corrections already applied).
-        x_guess: Initial full solution vectors, shape ``(S, size)``.
-        options: Newton tuning knobs.
-        label: Context string for error messages.
+        x_guess: Initial full solution vectors, ``(S, size)``.
         pinned: Known voltages of the space's pinned nodes (``(P,)``);
             written into ``x`` before iterating.
         fet_vpin: Per-Jacobian-entry pinned voltages (from
             :meth:`SolveSpace.fet_pin_values`) for the nonlinear RHS
             correction; only needed when the space pins MOSFET terminals.
+    """
+
+    space: SolveSpace
+    a_base: np.ndarray
+    fets: Optional[FetParams]
+    b_base: np.ndarray
+    x_guess: np.ndarray
+    pinned: Optional[np.ndarray] = None
+    fet_vpin: Optional[np.ndarray] = None
+
+
+def _stamp(
+    system: NewtonSystem, x: np.ndarray, active: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x_active, A, b)``: one system's Newton linearization."""
+    space = system.space
+    xa = x[active]
+    fets = system.fets
+    if fets is not None and space.plan.num_fets > 0:
+        fa = fets.select(active) if len(active) < len(x) else fets
+        lin = space.plan.linearize_fets(fa, xa)
+    else:
+        lin = None
+    b = system.b_base[active]
+    if lin is not None:
+        space.stamp_fet_rhs(b, lin)
+        if system.fet_vpin is not None:
+            space.stamp_fet_pin_rhs(b, lin, system.fet_vpin)
+    return xa, stamped_matrix(space, system.a_base, lin, active), b
+
+
+def _bucketed_solve(
+    stamped: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    num_systems: int,
+    tele: Telemetry,
+) -> List[np.ndarray]:
+    """Solve every stamped system, one stacked call per dimension.
+
+    Stacking same-shape systems is bit-transparent per corner, so each
+    system's solution equals solving it alone.
+    """
+    if num_systems == 1:
+        tele.incr("batched_solves")
+        (_, a, b), = stamped
+        return [batched_dense_solve(a, b)]
+    by_dim: Dict[int, List[int]] = {}
+    for i, (_, a, _) in enumerate(stamped):
+        by_dim.setdefault(a.shape[-1], []).append(i)
+    tele.incr("ragged.bucket_solves", len(by_dim))
+    sols: Dict[int, np.ndarray] = {}
+    for idxs in by_dim.values():
+        if len(idxs) == 1:
+            _, a, b = stamped[idxs[0]]
+            sols[idxs[0]] = batched_dense_solve(a, b)
+            continue
+        sol = batched_dense_solve(
+            np.concatenate([stamped[i][1] for i in idxs], axis=0),
+            np.concatenate([stamped[i][2] for i in idxs], axis=0),
+        )
+        offset = 0
+        for i in idxs:
+            count = len(stamped[i][2])
+            sols[i] = sol[offset:offset + count]
+            offset += count
+    return [sols[i] for i in range(len(stamped))]
+
+
+def newton_iterate(
+    systems: Sequence[NewtonSystem],
+    options: NewtonOptions,
+    label: str = "",
+) -> List[np.ndarray]:
+    """Damped Newton-Raphson over the corners of one or more systems.
+
+    Each system keeps its own active set: corners that have converged
+    drop out of linearization, stamping and solving.  Per iteration the
+    active corners of all systems are solved together, one stacked
+    LAPACK call per matrix dimension, and accepted through
+    :func:`newton_update`, so a system's iterates are bit-identical
+    whatever it is solved next to.
+
+    Args:
+        systems: Per-system Newton inputs.
+        options: Newton tuning knobs (shared by every system).
+        label: Context string for error messages.
 
     Returns:
-        Converged full solution vectors ``(S, size)``.
+        Converged full solution vectors, ``(S, size)`` per system.
 
     Raises:
-        ConvergenceError: If any corner fails to converge; carries the
-            failing corner indices and their final ``max_dv``.
+        ConvergenceError: If any corner fails to converge.  Corners are
+            numbered across systems in order (system ``j``'s corner
+            ``c`` is ``c`` plus the corners of systems ``0 .. j-1``);
+            the error carries each failing corner's final ``max_dv``
+            and worst node name.
     """
     opts = options
-    num_corners = x_guess.shape[0]
-    plan = space.plan
-    num_nodes = plan.num_nodes
-    has_fets = fets is not None and plan.num_fets > 0
     tele = get_telemetry()
     tele.incr("newton_solves")
 
-    x = x_guess.copy()
-    x[:, 0] = 0.0
-    if pinned is not None and space.num_pinned:
-        x[:, space.pinned_nodes] = pinned
-    if space.dim == 0:
-        # Every node is pinned; nothing to solve.
-        return x
-    active = np.arange(num_corners)
-    last_dv = np.zeros(num_corners)
-    last_node = np.zeros(num_corners, dtype=np.intp)
+    xs: List[np.ndarray] = []
+    actives: List[np.ndarray] = []
+    last_dv: List[np.ndarray] = []
+    last_node: List[np.ndarray] = []
+    work: List[int] = []
+    for j, system in enumerate(systems):
+        space = system.space
+        x = system.x_guess.copy()
+        x[:, 0] = 0.0
+        if system.pinned is not None and space.num_pinned:
+            x[:, space.pinned_nodes] = system.pinned
+        num_corners = len(x)
+        xs.append(x)
+        actives.append(np.arange(num_corners))
+        last_dv.append(np.zeros(num_corners))
+        last_node.append(np.zeros(num_corners, dtype=np.intp))
+        # A space with every node pinned has nothing to solve.
+        if space.dim:
+            work.append(j)
 
     for _ in range(opts.max_iterations):
+        if not work:
+            return xs
         tele.incr("newton_iterations")
-        xa = x[active]
-        if has_fets:
-            fa = fets.select(active) if len(active) < num_corners else fets
-            lin = plan.linearize_fets(fa, xa)
-        else:
-            lin = None
-        b = b_base[active]
-        if lin is not None:
-            space.stamp_fet_rhs(b, lin)
-            if fet_vpin is not None:
-                space.stamp_fet_pin_rhs(b, lin, fet_vpin)
-        tele.incr("batched_solves")
-        a = stamped_matrix(space, a_base, lin, active)
+        stamped = [_stamp(systems[j], xs[j], actives[j]) for j in work]
         try:
-            sol = batched_dense_solve(a, b)
+            sols = _bucketed_solve(stamped, len(systems), tele)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular MNA matrix during Newton solve ({label or 'unnamed'})",
-                corners=active.tolist(),
+                corners=_numbered(xs, actives, work),
             ) from exc
-
-        x_new = xa.copy()
-        x_new[:, space.kept] = sol
-        xa, max_dv, worst, converged = newton_update(xa, x_new, num_nodes, opts)
-        last_node[active] = worst
-        x[active] = xa
-        last_dv[active] = max_dv
-        if converged.all():
-            return x
-        active = active[~converged]
+        unconverged = []
+        for j, (xa, _, _), sol in zip(work, stamped, sols):
+            space = systems[j].space
+            active = actives[j]
+            x_new = xa.copy()
+            x_new[:, space.kept] = sol
+            xa, max_dv, worst, converged = newton_update(
+                xa, x_new, space.plan.num_nodes, opts
+            )
+            last_node[j][active] = worst
+            xs[j][active] = xa
+            last_dv[j][active] = max_dv
+            if not converged.all():
+                actives[j] = active[~converged]
+                unconverged.append(j)
+        work = unconverged
+    if not work:
+        return xs
 
     tele.incr("newton_failures")
     # Report the worst-updating unknown by its netlist *name* (node via
     # the circuit's reverse map) so the failure is actionable without
     # decoding MNA indices, and keep the failing corner ids attached.
-    node_names = plan.circuit.nodes
-    worst_nodes = [node_names[int(last_node[c])] for c in active]
+    corners = _numbered(xs, actives, work)
+    max_dv = np.concatenate([last_dv[j][actives[j]] for j in work])
+    worst_nodes = [
+        systems[j].space.plan.circuit.nodes[int(last_node[j][c])]
+        for j in work for c in actives[j]
+    ]
     failing = ", ".join(
-        f"corner {c}: max_dv={last_dv[c]:.3e} V at node {name!r}"
-        for c, name in zip(active[:8], worst_nodes[:8])
+        f"corner {c}: max_dv={dv:.3e} V at node {name!r}"
+        for c, dv, name in zip(corners[:8], max_dv[:8], worst_nodes[:8])
     )
-    more = "" if len(active) <= 8 else f" (+{len(active) - 8} more)"
+    more = "" if len(corners) <= 8 else f" (+{len(corners) - 8} more)"
     raise ConvergenceError(
         f"Newton failed to converge after {opts.max_iterations} iterations "
-        f"({label or 'unnamed solve'}): {len(active)} of {num_corners} "
-        f"corners unconverged [{failing}{more}]",
-        corners=active.tolist(),
-        max_dv=last_dv[active].copy(),
+        f"({label or 'unnamed solve'}): {len(corners)} of "
+        f"{sum(len(x) for x in xs)} corners unconverged [{failing}{more}]",
+        corners=corners,
+        max_dv=max_dv,
         nodes=worst_nodes,
     )
+
+
+def _numbered(
+    xs: List[np.ndarray], actives: List[np.ndarray], work: List[int]
+) -> List[int]:
+    """The ``work`` systems' active corners, numbered across systems."""
+    offsets = np.cumsum([0] + [len(x) for x in xs])
+    return [int(offsets[j] + c) for j in work for c in actives[j]]
 
 
 def solve_dc_plan(
@@ -207,14 +306,12 @@ def solve_dc_plan(
     ics: Optional[Dict[str, float]] = None,
     guess: Optional[np.ndarray] = None,
     a_linear: Optional[np.ndarray] = None,
-    bpin: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """DC operating point with ``.IC`` clamps and gmin-stepping fallback.
 
-    ``a_linear``/``bpin`` are the space's linear assembly (shared
-    ``(dim, dim)`` or stacked ``(S, dim, dim)``) and pinned-column
-    correction matrix; both are assembled from the space when omitted.
-    Returns full vectors ``(S, size)``.
+    ``a_linear`` is the space's linear assembly (shared ``(dim, dim)``
+    or stacked ``(S, dim, dim)``), assembled from the space when
+    omitted.  Returns full vectors ``(S, size)``.
     """
     plan = space.plan
     if a_linear is None:
@@ -226,9 +323,7 @@ def solve_dc_plan(
     fet_vpin = None
     if space.num_pinned:
         vpin = space.pinned_voltages(t)
-        if bpin is None:
-            bpin = space.bpin_linear()
-        b -= bpin @ vpin
+        b -= space.bpin_linear() @ vpin
         if space.has_fet_pins:
             fet_vpin = space.fet_pin_values(vpin)
     if ics:
@@ -239,12 +334,14 @@ def solve_dc_plan(
                 continue
             a[..., idx, idx] += CLAMP_G
             b[..., idx] += CLAMP_G * voltage
+
+    def solve(a_dc: np.ndarray, x: np.ndarray, label: str) -> np.ndarray:
+        system = NewtonSystem(space, a_dc, fets, b, x, vpin, fet_vpin)
+        return newton_iterate([system], options, label=label)[0]
+
     x0 = guess.copy() if guess is not None else np.zeros((num_corners, plan.size))
     try:
-        return newton_iterate(
-            a, space, fets, b, x0, options,
-            label="dc", pinned=vpin, fet_vpin=fet_vpin,
-        )
+        return solve(a, x0, "dc")
     except ConvergenceError:
         pass
 
@@ -255,33 +352,17 @@ def solve_dc_plan(
     for gstep in np.logspace(0, -9, 19):
         a_step = a.copy()
         a_step[..., diag, diag] += gstep
-        x = newton_iterate(
-            a_step, space, fets, b, x, options,
-            label=f"dc gmin={gstep:.1e}", pinned=vpin, fet_vpin=fet_vpin,
-        )
-    return newton_iterate(
-        a, space, fets, b, x, options,
-        label="dc final", pinned=vpin, fet_vpin=fet_vpin,
-    )
-
-
-@dataclass
-class SteppedResult:
-    """Raw batched stepper output: uniform time grid and ``(S, T)`` traces."""
-
-    time: np.ndarray
-    traces: Dict[str, np.ndarray]
+        x = solve(a_step, x, f"dc gmin={gstep:.1e}")
+    return solve(a, x, "dc final")
 
 
 class TransientStepper:
-    """Generic trap/BE integrator over the stacked dense Newton solve.
+    """One compiled system's transient assembly for :func:`integrate`.
 
-    One instance simulates one compiled system: a
-    :class:`~repro.spice.stamping.SolveSpace` plus (possibly per-corner)
-    element values.  The integration scheme matches the historical
-    scalar engine: trapezoidal by default with a backward-Euler first
-    step, damped Newton with linear prediction of the next time point,
-    and local step bisection (backward Euler) on convergence failure.
+    Holds a :class:`~repro.spice.stamping.SolveSpace` plus (possibly
+    per-corner) element values, and builds what each time step needs:
+    companion matrices for a step size, the step's linear RHS and
+    Newton inputs, and the capacitor state after an accepted step.
     """
 
     def __init__(
@@ -305,10 +386,7 @@ class TransientStepper:
         self.options = options
         self.num_corners = num_corners
 
-    # -- assembly helpers ------------------------------------------------
-    def _companion_matrix(
-        self, h: float, use_trap: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def companions(self, h: float, use_trap: bool) -> _Companions:
         """(base matrix, geq, B_pin): linear assembly plus companions."""
         space = self.space
         geq = companion_geq(self.cap_c, h, use_trap)
@@ -327,25 +405,22 @@ class TransientStepper:
             bpin = self.bpin_linear
         return a, geq, bpin
 
-    # -- stepping --------------------------------------------------------
-    def _assemble_rhs(
+    def newton_system(
         self,
-        geq: np.ndarray,
-        bpin: np.ndarray,
+        companions: _Companions,
         use_trap: bool,
         t_new: float,
-        vc: np.ndarray,
-        ic: np.ndarray,
-    ) -> Tuple[
-        np.ndarray, Optional[np.ndarray], Optional[np.ndarray], np.ndarray
-    ]:
-        """Linear RHS of one time step: sources, pinned columns, companions.
+        state: _State,
+        x_guess: np.ndarray,
+    ) -> Tuple[NewtonSystem, np.ndarray]:
+        """Newton inputs of one time step, and the companion currents.
 
-        Returns ``(b, vpin, fet_vpin, ieq)``; also the reuse point for
-        the ragged pack stepper, which assembles each member through its
-        own :class:`TransientStepper` and shares only the Newton loop.
+        The linear RHS holds the sources, the pinned-column correction
+        and the capacitor companion currents ``ieq``.
         """
         space = self.space
+        a_base, geq, bpin = companions
+        _, vc, ic = state
         b = np.zeros((self.num_corners, space.dim))
         space.source_rhs_into(b, t_new)
         vpin = None
@@ -357,138 +432,161 @@ class TransientStepper:
                 fet_vpin = space.fet_pin_values(vpin)
         ieq = geq * vc + ic if use_trap else geq * vc
         space.stamp_capacitor_rhs(b, ieq)
-        return b, vpin, fet_vpin, ieq
+        system = NewtonSystem(
+            space, a_base, self.fets, b, x_guess, vpin, fet_vpin
+        )
+        return system, ieq
 
-    def _cap_state(
+    def accept(
         self,
         x_new: np.ndarray,
-        geq: np.ndarray,
+        companions: _Companions,
         ieq: np.ndarray,
-        vc: np.ndarray,
+        state: _State,
         use_trap: bool,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Next capacitor state ``(vc, ic)`` after an accepted step."""
+    ) -> _State:
+        """State ``(x, vc, ic)`` after an accepted step to ``x_new``."""
         plan = self.plan
+        _, geq, _ = companions
+        _, vc, _ = state
         vc_new = x_new[:, plan.cap_n1] - x_new[:, plan.cap_n2]
         ic_new = geq * vc_new - ieq if use_trap else geq * (vc_new - vc)
-        return vc_new, ic_new
-
-    def _single_step(
-        self,
-        a_base: np.ndarray,
-        geq: np.ndarray,
-        bpin: np.ndarray,
-        use_trap: bool,
-        t_new: float,
-        x_guess: np.ndarray,
-        vc: np.ndarray,
-        ic: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        b, vpin, fet_vpin, ieq = self._assemble_rhs(
-            geq, bpin, use_trap, t_new, vc, ic
-        )
-        x_new = newton_iterate(
-            a_base, self.space, self.fets, b, x_guess, self.options,
-            label=f"tran t={t_new:.3e}", pinned=vpin, fet_vpin=fet_vpin,
-        )
-        vc_new, ic_new = self._cap_state(x_new, geq, ieq, vc, use_trap)
         return x_new, vc_new, ic_new
 
-    def _advance(
-        self,
-        x: np.ndarray,
-        vc: np.ndarray,
-        ic: np.ndarray,
-        t_from: float,
-        t_to: float,
-        a_base: np.ndarray,
-        geq: np.ndarray,
-        bpin: np.ndarray,
-        use_trap: bool,
-        x_guess: np.ndarray,
-        max_retries: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance one step, bisecting locally on convergence failure."""
-        try:
-            return self._single_step(
-                a_base, geq, bpin, use_trap, t_to, x_guess, vc, ic
+
+def _step(
+    steppers: Sequence[TransientStepper],
+    states: List[_State],
+    t_new: float,
+    mats: List[_Companions],
+    use_trap: bool,
+    guesses: List[np.ndarray],
+) -> List[_State]:
+    """One accepted time step for every system (or ConvergenceError)."""
+    built = [
+        stepper.newton_system(comp, use_trap, t_new, state, guess)
+        for stepper, comp, state, guess in zip(steppers, mats, states, guesses)
+    ]
+    x_new = newton_iterate(
+        [system for system, _ in built], steppers[0].options,
+        label=f"tran t={t_new:.3e}",
+    )
+    return [
+        stepper.accept(xn, comp, ieq, state, use_trap)
+        for stepper, xn, comp, (_, ieq), state
+        in zip(steppers, x_new, mats, built, states)
+    ]
+
+
+def _advance(
+    steppers: Sequence[TransientStepper],
+    states: List[_State],
+    t_from: float,
+    t_to: float,
+    mats: List[_Companions],
+    use_trap: bool,
+    guesses: List[np.ndarray],
+    max_retries: int,
+) -> List[_State]:
+    """Advance one step, bisecting on convergence failure.
+
+    The bisection is global to the call: a step that fails for any
+    system is halved for all of them.
+    """
+    try:
+        return _step(steppers, states, t_to, mats, use_trap, guesses)
+    except ConvergenceError:
+        if max_retries <= 0:
+            raise
+        # Retry with two half steps using backward Euler (robust).
+        tele = get_telemetry()
+        tele.incr("step_retries")
+        tele.incr("step_halvings", 2)
+        h_half = (t_to - t_from) / 2.0
+        mats_h = [s.companions(h_half, use_trap=False) for s in steppers]
+        t_mid = t_from + h_half
+        for t_a, t_b in ((t_from, t_mid), (t_mid, t_to)):
+            states = _advance(
+                steppers, states, t_a, t_b, mats_h, False,
+                [x for x, _, _ in states], max_retries - 1,
             )
-        except ConvergenceError:
-            if max_retries <= 0:
-                raise
-            # Retry with two half steps using backward Euler (robust).
-            tele = get_telemetry()
-            tele.incr("step_retries")
-            tele.incr("step_halvings", 2)
-            h_half = (t_to - t_from) / 2.0
-            a_h, geq_h, bpin_h = self._companion_matrix(h_half, use_trap=False)
-            t_mid = t_from + h_half
-            x, vc, ic = self._advance(
-                x, vc, ic, t_from, t_mid, a_h, geq_h, bpin_h,
-                use_trap=False, x_guess=x, max_retries=max_retries - 1,
-            )
-            return self._advance(
-                x, vc, ic, t_mid, t_to, a_h, geq_h, bpin_h,
-                use_trap=False, x_guess=x, max_retries=max_retries - 1,
-            )
+        return states
 
-    def run(
-        self,
-        stop_time: float,
-        timestep: float,
-        x0: np.ndarray,
-        record_idx: Dict[str, int],
-        method: str = "trap",
-        max_retries: int = 4,
-    ) -> SteppedResult:
-        """Integrate from the initial state ``x0`` (``(S, size)``).
 
-        Records the node voltages named by ``record_idx`` on the uniform
-        grid ``0, h, ..., <= stop_time`` as ``(S, T)`` arrays.
-        """
-        if method not in ("trap", "be"):
-            raise ValueError(f"unknown integration method {method!r}")
-        if timestep <= 0 or stop_time <= 0:
-            raise ValueError("stop_time and timestep must be positive")
-        plan = self.plan
-        num_steps = int(round(stop_time / timestep))
-        times = np.arange(num_steps + 1) * timestep
+def integrate(
+    steppers: Sequence[TransientStepper],
+    x0s: Sequence[np.ndarray],
+    record_idxs: Sequence[Dict[str, int]],
+    stop_time: float,
+    timestep: float,
+    method: str = "trap",
+    max_retries: int = 4,
+) -> Tuple[np.ndarray, List[Dict[str, np.ndarray]]]:
+    """Integrate one or more systems over one shared time loop.
 
-        traces = {
-            node: np.empty((self.num_corners, num_steps + 1))
-            for node in record_idx
-        }
-        x = x0
-        for node, idx in record_idx.items():
-            traces[node][:, 0] = x[:, idx]
+    The scheme matches the historical scalar engine: trapezoidal by
+    default with a backward-Euler first step, damped Newton with linear
+    prediction of the next time point, and step bisection (backward
+    Euler) on convergence failure.  All systems share the time grid,
+    the trap/BE schedule, the bisection ladder and each Newton loop;
+    every system's trajectory is bit-identical to integrating it alone
+    unless a step fails.
 
-        vc = x[:, plan.cap_n1] - x[:, plan.cap_n2]
-        ic = np.zeros_like(vc)
+    Args:
+        steppers: One :class:`TransientStepper` per system.
+        x0s: Initial full states, ``(S, size)`` per system.
+        record_idxs: Per system, node name -> full index to record.
+        stop_time: Simulation end time in seconds.
+        timestep: Fixed integration step in seconds.
+        method: ``"trap"`` (default) or ``"be"``.
+        max_retries: Depth of the step-bisection ladder.
 
-        use_trap_default = method == "trap"
-        a_be, geq_be, bpin_be = self._companion_matrix(timestep, use_trap=False)
-        if use_trap_default:
-            a_trap, geq_trap, bpin_trap = self._companion_matrix(
-                timestep, use_trap=True
-            )
+    Returns:
+        ``(time, traces)``: the uniform grid ``0, h, ..., <= stop_time``
+        and, per system, ``(S, T)`` traces of the recorded nodes.
+    """
+    if method not in ("trap", "be"):
+        raise ValueError(f"unknown integration method {method!r}")
+    if timestep <= 0 or stop_time <= 0:
+        raise ValueError("stop_time and timestep must be positive")
+    num_steps = int(round(stop_time / timestep))
+    times = np.arange(num_steps + 1) * timestep
 
-        x_prev = x
-        for k in range(1, num_steps + 1):
-            t_new = times[k]
-            # First step uses BE to avoid trapezoidal ringing from DC.
-            trap_now = use_trap_default and k > 1
-            if trap_now:
-                a_base, geq, bpin = a_trap, geq_trap, bpin_trap
-            else:
-                a_base, geq, bpin = a_be, geq_be, bpin_be
-            # Linear prediction of the next time point speeds Newton up.
-            x_guess = 2.0 * x - x_prev if k > 1 else x
-            x_prev = x
-            x, vc, ic = self._advance(
-                x, vc, ic, times[k - 1], t_new, a_base, geq, bpin,
-                use_trap=trap_now, x_guess=x_guess, max_retries=max_retries,
-            )
-            for node, idx in record_idx.items():
-                traces[node][:, k] = x[:, idx]
+    traces = [
+        {node: np.empty((s.num_corners, num_steps + 1)) for node in ridx}
+        for s, ridx in zip(steppers, record_idxs)
+    ]
+    states: List[_State] = []
+    for stepper, x, trace, ridx in zip(steppers, x0s, traces, record_idxs):
+        for node, idx in ridx.items():
+            trace[node][:, 0] = x[:, idx]
+        vc = x[:, stepper.plan.cap_n1] - x[:, stepper.plan.cap_n2]
+        states.append((x, vc, np.zeros_like(vc)))
 
-        return SteppedResult(time=times, traces=traces)
+    use_trap_default = method == "trap"
+    mats_be = [s.companions(timestep, use_trap=False) for s in steppers]
+    mats_trap = (
+        [s.companions(timestep, use_trap=True) for s in steppers]
+        if use_trap_default else mats_be
+    )
+
+    x_prevs = [x for x, _, _ in states]
+    for k in range(1, num_steps + 1):
+        # First step uses BE to avoid trapezoidal ringing from DC.
+        trap_now = use_trap_default and k > 1
+        xs = [x for x, _, _ in states]
+        # Linear prediction of the next time point speeds Newton up.
+        guesses = (
+            [2.0 * x - xp for x, xp in zip(xs, x_prevs)] if k > 1 else xs
+        )
+        x_prevs = xs
+        states = _advance(
+            steppers, states, times[k - 1], times[k],
+            mats_trap if trap_now else mats_be, trap_now, guesses,
+            max_retries,
+        )
+        for (x, _, _), trace, ridx in zip(states, traces, record_idxs):
+            for node, idx in ridx.items():
+                trace[node][:, k] = x[:, idx]
+
+    return times, traces

@@ -12,9 +12,10 @@ clamps -- the mechanism used to start ring oscillators away from their
 metastable equilibrium.
 
 The integration loop itself is the shared
-:class:`repro.spice.stepper.TransientStepper`; this function is the
-scalar wrapper (a batch of one corner), so its steps take the same
-stacked dense solve as the batched ones.
+:func:`repro.spice.stepper.integrate`; this function is the scalar
+wrapper (one :class:`~repro.spice.stepper.TransientStepper` of one
+corner), so its steps take the same stacked dense solve as the batched
+ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.spice.dc import solve_dc
 from repro.spice.mna import MnaSystem, NewtonOptions
 from repro.spice.netlist import Circuit
 from repro.spice.staticcheck import preflight_circuit
-from repro.spice.stepper import TransientStepper
+from repro.spice.stepper import TransientStepper, integrate
 from repro.spice.waveform import Waveform
 
 
@@ -81,11 +82,6 @@ def transient(
         A :class:`TransientResult` with voltages sampled on the uniform
         time grid ``0, h, 2h, ... <= stop_time``.
     """
-    if method not in ("trap", "be"):
-        raise ValueError(f"unknown integration method {method!r}")
-    if timestep <= 0 or stop_time <= 0:
-        raise ValueError("stop_time and timestep must be positive")
-
     system = MnaSystem(circuit, options)
     plan = system.plan
     if preflight:
@@ -102,17 +98,17 @@ def transient(
     space = plan.condensed
     stepper = TransientStepper(
         space=space,
-        fets=plan.nominal_fets() if plan.num_fets else None,
+        fets=plan.nominal_fets(),
         cap_c=plan.cap_c0,
         a_linear=space.assemble_linear(),
         options=system.options,
         num_corners=1,
     )
-    stepped = stepper.run(
-        stop_time, timestep, x[None, :], record_idx,
+    times, (traces,) = integrate(
+        [stepper], [x[None, :]], [record_idx], stop_time, timestep,
         method=method, max_retries=max_retries,
     )
     return TransientResult(
-        time=stepped.time,
-        voltages={node: tr[0] for node, tr in stepped.traces.items()},
+        time=times,
+        voltages={node: tr[0] for node, tr in traces.items()},
     )

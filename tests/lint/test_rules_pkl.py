@@ -1,5 +1,7 @@
 """PKL rule tests: picklability across process-pool boundaries."""
 
+from repro.lint import run_lint
+
 from .conftest import rules_of
 
 POOL_IMPORT = "from concurrent.futures import ProcessPoolExecutor\n"
@@ -179,6 +181,24 @@ class TestPKL004:
             "    return SharedMemory(create=True, size=64)\n",
         )
         assert rules_of(result) == ["PKL004"]
+
+    def test_no_module_is_exempt(self, tmp_path):
+        # The process pool pickles batches; no module owns raw
+        # segments, not even one named like the old arena module.
+        package = tmp_path / "repro" / "service"
+        package.mkdir(parents=True)
+        for init in (tmp_path / "repro", package):
+            (init / "__init__.py").write_text("", encoding="utf-8")
+        module = package / "arena.py"
+        module.write_text(
+            self.SHM_IMPORT +
+            "def grab():\n"
+            "    return SharedMemory(create=True, size=64)\n",
+            encoding="utf-8",
+        )
+        result = run_lint([module], record_telemetry=False, root=tmp_path)
+        assert rules_of(result) == ["PKL004"]
+        assert "process_pool" in result.diagnostics[0].hint
 
     def test_via_module_alias(self, lint_source):
         result = lint_source(

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.spice.batch as batch_module
+import repro.spice.ragged as ragged_module
 import repro.spice.stepper as stepper_module
 import repro.spice.transient as transient_module
 from repro.core.segments import RingOscillatorConfig, build_ring_oscillator
@@ -32,9 +33,10 @@ from repro.spice import (
 )
 from repro.spice.elements import Pulse
 from repro.spice.linalg import batched_dense_solve, stamped_matrix
-from repro.spice.mna import ConvergenceError, MnaSystem, NewtonOptions
+from repro.spice.mna import ConvergenceError, NewtonOptions
 from repro.spice.mosfet import NMOS_45LP, PMOS_45LP
 from repro.spice.stamping import FetLinearization
+from repro.spice.stepper import NewtonSystem, newton_iterate
 
 
 def reference_solve(space, base, lin, active, b):
@@ -250,15 +252,19 @@ class TestConvergenceDiagnostics:
                            PMOS_45LP, w=0.4e-6)
         circuit.add_mosfet("mn", "out", "vdd", "0", "0",
                            NMOS_45LP, w=0.2e-6)
-        return MnaSystem(circuit, NewtonOptions(max_iterations=1))
+        plan = StampPlan(circuit, gmin=NewtonOptions().gmin)
+        space = plan.reduced
+        b = np.zeros((1, space.dim))
+        space.source_rhs_into(b, 0.0)
+        return NewtonSystem(
+            space, space.assemble_linear(), plan.nominal_fets(), b,
+            np.zeros((1, plan.size)),
+        )
 
     def test_error_reports_corner_indices_and_max_dv(self):
-        system = self._nonlinear_system()
-        b = np.zeros(system.size)
-        system.source_rhs(0.0, b)
         with pytest.raises(ConvergenceError) as excinfo:
-            system.newton_solve(system.a_linear, b,
-                                np.zeros(system.size), label="diag")
+            newton_iterate([self._nonlinear_system()],
+                           NewtonOptions(max_iterations=1), label="diag")
         err = excinfo.value
         assert err.corners == [0]
         assert err.max_dv is not None and err.max_dv.shape == (1,)
@@ -348,5 +354,16 @@ class TestNoDuplicatedIntegratorLogic:
         for token in ("np.linalg.solve", "geq", "ieq", "lu_factor"):
             assert token not in source, (
                 f"{module.__name__} re-implements integrator logic "
+                f"(found {token!r})"
+            )
+
+    def test_ragged_pack_carries_no_integrator(self):
+        source = inspect.getsource(ragged_module)
+        assert "integrate" in source
+        for token in ("newton_update", "stamped_matrix",
+                      "batched_dense_solve", "geq", "ieq",
+                      "step_halvings"):
+            assert token not in source, (
+                f"repro.spice.ragged re-implements integrator logic "
                 f"(found {token!r})"
             )

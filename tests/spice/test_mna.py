@@ -7,6 +7,7 @@ from repro.spice import Circuit, DC, NMOS_45LP, PMOS_45LP, transient
 from repro.spice.mna import ConvergenceError, MnaSystem, NewtonOptions
 from repro.spice.dc import dc_operating_point, solve_dc
 from repro.spice.netlist import GROUND
+from repro.spice.stepper import NewtonSystem, newton_iterate
 
 
 def inverter_circuit(vin=0.55):
@@ -32,33 +33,42 @@ class TestSystemStructure:
         c.add_resistor("r1", "a", "b", 10.0)
         c.add_resistor("r2", "b", GROUND, 20.0)
         system = MnaSystem(c)
-        a = system.a_linear
+        a = system.plan.reduced.assemble_linear()
+        assert a.shape == (2, 2)
         assert np.allclose(a, a.T)
 
     def test_gmin_on_diagonal(self):
         c = Circuit()
         c.add_resistor("r1", "a", GROUND, 1e6)
         system = MnaSystem(c, NewtonOptions(gmin=1e-6))
-        idx = c.node_index("a")
-        assert system.a_linear[idx, idx] == pytest.approx(1e-6 + 1e-6)
+        space = system.plan.reduced
+        idx = space.col_map[c.node_index("a")]
+        a = space.assemble_linear()
+        assert a[idx, idx] == pytest.approx(1e-6 + 1e-6)
 
     def test_mosfet_index_arrays(self):
         c = inverter_circuit()
         system = MnaSystem(c)
-        assert len(system.fet_d) == 2
-        assert len(system._jac_rows) == 2 * 8
+        assert len(system.plan.fet_d) == 2
+        assert len(system.plan.fet_rows) == 2 * 8
+        assert len(system.plan.fet_cols) == 2 * 8
+        assert len(system.plan.fet_rhs_rows) == 2 * 2
 
 
 class TestNewtonBehaviour:
     def test_insufficient_iterations_raise(self):
         c = inverter_circuit(vin=0.55)
         options = NewtonOptions(max_iterations=1, damping=0.05)
+        system = MnaSystem(c, options)
+        space = system.plan.reduced
+        b = np.zeros((1, space.dim))
+        space.source_rhs_into(b, 0.0)
+        newton_input = NewtonSystem(
+            space, space.assemble_linear(), system.plan.nominal_fets(), b,
+            np.zeros((1, system.size)),
+        )
         with pytest.raises(ConvergenceError):
-            system = MnaSystem(c, options)
-            a = system.a_linear.copy()
-            b = np.zeros(system.size)
-            system.source_rhs(0.0, b)
-            system.newton_solve(a, b, np.zeros(system.size))
+            newton_iterate([newton_input], options)
 
     def test_damping_still_converges(self):
         """Heavy damping slows Newton but must not change the answer."""

@@ -22,7 +22,7 @@ from repro.spice import (
     ragged_transient,
 )
 from repro.spice.batch import BatchParameters, BatchedSimulation
-from repro.spice.mna import NewtonOptions
+from repro.spice.mna import ConvergenceError, NewtonOptions
 from repro.spice.montecarlo import ProcessVariation
 from repro.spice.netlist import GROUND
 from repro.telemetry import use_telemetry
@@ -115,6 +115,62 @@ class TestBucketBitIdentity:
         )
         for a, b in zip(solo, packed):
             assert np.array_equal(a.voltages["out"], b.voltages["out"])
+
+
+def edge_rc(capacitance, vstep):
+    """An RC driven by a near-instant step.  With a 1 ps step and a
+    two-iteration Newton budget, a 1 fF load makes the output jump too
+    far to converge in one full step; a 100 fF load does not."""
+    c = Circuit("edge rc")
+    c.add_vsource(
+        "vin", "in", GROUND, Step(0.0, vstep, t0=20e-12, rise=1e-15)
+    )
+    c.add_resistor("r1", "in", "out", 1000.0)
+    c.add_capacitor("c1", "out", GROUND, capacitance)
+    return c
+
+
+#: Shared Newton budget small enough that the fast edge fails a step.
+TIGHT = NewtonOptions(max_iterations=2)
+
+
+class TestFailurePaths:
+    def _sims(self):
+        return [
+            BatchedSimulation(edge_rc(100e-15, 1.0),
+                              BatchParameters.nominal(2), options=TIGHT),
+            BatchedSimulation(edge_rc(1e-15, 2.0),
+                              BatchParameters.nominal(3), options=TIGHT),
+        ]
+
+    def test_failing_pack_reports_like_a_failing_batch(self):
+        with pytest.raises(ConvergenceError) as excinfo:
+            ragged_transient(self._sims(), 100e-12, 1e-12, record=["out"],
+                             max_retries=0)
+        err = excinfo.value
+        # Member 1's corners follow member 0's two.
+        assert err.corners == [2, 3, 4]
+        assert err.max_dv is not None and err.max_dv.shape == (3,)
+        assert (err.max_dv > 0).all()
+        assert err.nodes == ["out", "out", "out"]
+        assert "corner 2: max_dv=" in str(err)
+        assert "3 of 5 corners unconverged" in str(err)
+
+    def test_bisection_inside_a_pack(self):
+        sims = self._sims()
+        with use_telemetry() as tele:
+            alone = sims[1].transient(100e-12, 1e-12, record=["out"])
+        halvings_alone = tele.count("step_halvings")
+        assert halvings_alone > 0
+        with use_telemetry() as tele:
+            sims[0].transient(100e-12, 1e-12, record=["out"])
+        assert tele.count("step_halvings") == 0
+
+        with use_telemetry() as tele:
+            packed = ragged_transient(sims, 100e-12, 1e-12, record=["out"])
+        assert tele.count("step_halvings") == halvings_alone
+        assert np.array_equal(alone.voltages["out"],
+                              packed[1].voltages["out"])
 
 
 class TestTopologyFamily:
