@@ -1,12 +1,14 @@
-"""E15 -- ragged family coalescing vs exact-fingerprint batching.
+"""E15 -- family coalescing vs exact-fingerprint batching.
 
 Exact-key coalescing (the pre-family service) can only merge requests
 whose netlist fingerprints match bit-for-bit.  On a defective die that
 fragments the load: every resistive open and every pinhole draws its own
 log-normal resistance, so each faulty TSV is a singleton fingerprint and
 rides a tiny batch of its own re-measure seeds.  Family coalescing keys
-on the engine knobs + supply only and lets the stage-delay engine
-ragged-pack the mixed topologies into one shared time loop.
+on the engine knobs + supply only; the stage-delay engine then splits a
+family batch by structure (fault-free, open, leak) and runs each
+structure as one value-stacked on/bypassed pair, every TSV's own
+element values as per-corner overrides.
 
 This bench offers the same request stream -- ``NUM_TSVS`` defect-heavy
 TSVs x ``SEEDS_PER_TSV`` measurement seeds, all at one supply -- to two
@@ -15,13 +17,13 @@ service configurations:
 * **exact** -- ``coalesce="exact"``: batches only within identical
   netlist fingerprints (one group per TSV);
 * **family** -- ``coalesce="family"``: one batch per engine family,
-  ragged-packed across the defect topologies.
+  one stacked pair per structure inside it.
 
 Asserted claims: family coalescing widens the mean batch by >= 2x,
-ragged packs actually ran, and every answer is *bit-identical* between
-the two policies.  Wall-clock speedup, coalesce widths and family span
-land in ``BENCH_ragged.json`` for the ``ragged-smoke`` CI job to
-publish.
+stacked pairs actually ran (at most one per structure per family
+batch), and every answer is *bit-identical* between the two policies.  Wall-clock
+speedup, coalesce widths, family span and the stacked-pair counts land
+in ``BENCH_ragged.json`` for the ``family-smoke`` CI job to publish.
 
 Environment knobs:
 
@@ -88,8 +90,8 @@ def policy_stats(snapshot):
         "coalesce_width_mean": occupancy["total"] / occupancy["count"],
         "coalesce_width_max": occupancy["max"],
         "family_span_max": span.get("max", 1.0),
-        "ragged_packs": int(
-            snapshot["counters"].get("ragged.packs", 0)
+        "stacked_pairs": int(
+            snapshot["counters"].get("stagedelay.stacked_pairs", 0)
         ),
     }
 
@@ -135,13 +137,13 @@ def test_bench_ragged_family_coalescing(benchmark):
     table.add_row(["exact fingerprint", format_seconds(t_exact),
                    str(exact["num_batches"]),
                    f"{exact['coalesce_width_mean']:.1f}", "1.0x"])
-    table.add_row(["family (ragged)", format_seconds(t_family),
+    table.add_row(["family (stacked)", format_seconds(t_family),
                    str(family["num_batches"]),
                    f"{family['coalesce_width_mean']:.1f}",
                    f"{speedup:.1f}x"])
     table.print()
-    print(f"\ncoalesce width ratio: {width_ratio:.1f}x | ragged packs: "
-          f"{family['ragged_packs']} | bit-identical: {identical}")
+    print(f"\ncoalesce width ratio: {width_ratio:.1f}x | stacked pairs: "
+          f"{family['stacked_pairs']} | bit-identical: {identical}")
 
     payload = {
         "num_requests": NUM_REQUESTS,
@@ -159,16 +161,19 @@ def test_bench_ragged_family_coalescing(benchmark):
     print(f"wrote BENCH_ragged.json (width ratio {width_ratio:.2f}x, "
           f"speedup {speedup:.2f}x)")
 
-    # The packing claim: family coalescing at least doubles the mean
-    # batch width on a fingerprint-fragmented load, ragged packs really
-    # ran, and not one bit of the answers moved.
+    # The coalescing claim: family coalescing at least doubles the mean
+    # batch width on a fingerprint-fragmented load, value-stacked pairs
+    # really ran -- each one standing in for several TSVs' solves -- and
+    # not one bit of the answers moved.
     assert identical, "family answers diverged from exact-key batching"
     assert width_ratio >= 2.0, (
         f"mean coalesce width ratio {width_ratio:.2f}x < 2x"
     )
-    assert family["ragged_packs"] >= 1, "no ragged packs were built"
+    assert family["stacked_pairs"] >= 1, "no stacked pairs were run"
+    assert family["stacked_pairs"] <= family["num_batches"] * len(kinds), (
+        "a family batch ran more stacked pairs than it has structures"
+    )
     assert family["family_span_max"] >= 2, "family batches never spanned"
-    assert exact["ragged_packs"] == 0, "exact policy should never pack"
     assert all(r.ok for r in family_resp)
 
     # Registered timing: one family-coalesced pass through the service.

@@ -16,7 +16,7 @@ from repro.cascade.characterize import (
     characterization_samples,
     characterize_stage,
     default_calibration_signatures,
-    nominal_delta_t,
+    measure_pending,
     quant_guard,
     transfer_stage,
 )
@@ -53,7 +53,7 @@ __all__ = [
     "characterization_samples",
     "characterize_stage",
     "default_calibration_signatures",
-    "nominal_delta_t",
+    "measure_pending",
     "normal_quantile",
     "parse_die_decision",
     "quant_guard",

@@ -27,9 +27,12 @@ noise term (dropped for deterministic measurements).
 Stage bands and the calibration table are built lazily, memoized
 through the content-addressed solve cache (a
 :class:`PersistentSolveCache` makes them fleet-wide), and exportable as
-picklable :class:`CascadeState` for wafer worker processes.  Escalated
-scalar measurements are memoized too -- the cascade-vs-oracle test
-harness and warm wafer reruns hit instead of re-solving.
+picklable :class:`CascadeState` for wafer worker processes.  A die is
+screened breadth-first: each stage's pending TSVs are measured per
+supply in one batch, so the stage-delay top stage runs same-structure
+TSVs as corners of one stacked solve pair.  Escalated measurements are
+memoized too -- the cascade-vs-oracle test harness and warm wafer
+reruns hit instead of re-solving.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.engines.base import MeasurementRequest, is_engine, supports
+from repro.core.engines.base import supports
 from repro.core.engines.registry import as_engine_factory
 from repro.core.tsv import Tsv
 from repro.spice import cache as solve_cache
@@ -50,7 +53,7 @@ from repro.cascade.characterize import (
     characterization_cap_factors,
     characterize_stage,
     default_calibration_signatures,
-    nominal_delta_t,
+    measure_pending,
     transfer_stage,
 )
 from repro.cascade.policy import (
@@ -81,6 +84,20 @@ class CascadeState:
 
     bands: Dict[Tuple[int, float], StageBand] = field(default_factory=dict)
     calibration: Optional[CalibrationTable] = None
+
+
+@dataclass
+class _Route:
+    """One TSV's progress through the ladder while a die is screened."""
+
+    tsv: Any
+    index: int
+    seed: int
+    stage: int
+    reasons: List[str] = field(default_factory=list)
+    total: int = 0
+    stage_measurements: Dict[str, int] = field(default_factory=dict)
+    decision: Optional[TsvDecision] = None
 
 
 class CascadeScreen:
@@ -236,29 +253,36 @@ class CascadeScreen:
         """The signature-curve table, built (and cached) on first use.
 
         Every probe is one memoized nominal solve per (stage, voltage)
-        under the shared ``measure.deterministic`` keys; with a
-        persistent solve cache, recalibration across runs is free.
+        under the shared ``measure.deterministic`` keys, all probes of a
+        (stage, voltage) asked for at once (:func:`measure_pending`); with
+        a persistent solve cache, recalibration across runs is free.
         """
         if self._table is not None:
             return self._table
+        pending = [
+            (tsv, 0) for probes in self._signatures.values() for tsv in probes
+        ]
+        u: Dict[Tuple[int, int], List[float]] = {}
+        for stage in range(self.num_stages):
+            for v, vdd in enumerate(self.voltages):
+                fit = self.stage_band(stage, vdd).fit
+                sigma = fit.sigma if fit.sigma > 0.0 else 1.0
+                u[stage, v] = [
+                    (dt - fit.center) / sigma if math.isfinite(dt) else math.nan
+                    for dt in measure_pending(self.engine(stage, vdd), pending)
+                ]
         curves: List[SignatureCurve] = []
+        offset = 0
         for name, probes in self._signatures.items():
-            points: List[Tuple[Tuple[float, ...], ...]] = []
-            for tsv in probes:
-                stages_u: List[Tuple[float, ...]] = []
-                for stage in range(self.num_stages):
-                    row: List[float] = []
-                    for vdd in self.voltages:
-                        fit = self.stage_band(stage, vdd).fit
-                        dt = nominal_delta_t(self.engine(stage, vdd), tsv)
-                        sigma = fit.sigma if fit.sigma > 0.0 else 1.0
-                        row.append(
-                            (dt - fit.center) / sigma
-                            if math.isfinite(dt) else math.nan
-                        )
-                    stages_u.append(tuple(row))
-                points.append(tuple(stages_u))
-            curves.append(SignatureCurve(name=name, points=tuple(points)))
+            points = tuple(
+                tuple(
+                    tuple(u[stage, v][k] for v in range(len(self.voltages)))
+                    for stage in range(self.num_stages)
+                )
+                for k in range(offset, offset + len(probes))
+            )
+            offset += len(probes)
+            curves.append(SignatureCurve(name=name, points=points))
         self._table = CalibrationTable(
             voltages=tuple(self.voltages),
             num_stages=self.num_stages,
@@ -292,40 +316,22 @@ class CascadeScreen:
         }
 
     # ------------------------------------------------------------------
-    def _measure(self, stage: int, tsv: Any, vdd: float, seed: int) -> float:
-        """One DeltaT at a stage; escalated solves are memoized.
+    def _measure(
+        self, stage: int, vdd: float, pending: Sequence[Tuple[Any, int]]
+    ) -> List[float]:
+        """DeltaTs of pending ``(tsv, seed)``s at one stage and supply.
 
-        Deterministic measurements (``measurement_variation=None``) are
-        memoized under seed-free keys shared with
-        :meth:`ScreeningFlow._measure`, so a full-fidelity oracle run
-        and the cascade's escalations pay each distinct (engine, TSV)
-        solve exactly once.
+        One :func:`measure_pending` call: deterministic measurements
+        (``measurement_variation=None``) are memoized under seed-free
+        keys shared with :meth:`ScreeningFlow._measure`, so a
+        full-fidelity oracle run and the cascade's escalations pay each
+        distinct (engine, TSV) solve exactly once; noisy escalated
+        measurements are memoized per seed; noisy stage-0 ones are not.
         """
-        engine = self.engine(stage, vdd)
-        variation = self.measurement_variation
-
-        def compute() -> float:
-            if is_engine(engine):
-                result = engine.measure(MeasurementRequest(
-                    tsv=tsv, m=1, seed=seed, variation=variation,
-                    num_samples=1 if variation is not None else None,
-                ))
-                return float(result.delta_t)
-            return float(engine.delta_t_mc(
-                tsv, variation, 1, m=1, seed=seed
-            )[0])
-
-        if variation is None:
-            key = solve_cache.fingerprint(
-                "measure.deterministic", engine, tsv, 1
-            )
-            return float(solve_cache.memoize(key, compute))
-        if stage == 0:
-            return compute()
-        key = solve_cache.fingerprint(
-            "cascade.measure", engine, tsv, 1, variation, seed
+        return measure_pending(
+            self.engine(stage, vdd), pending, self.measurement_variation,
+            memo=None if stage == 0 else "cascade.measure",
         )
-        return float(solve_cache.memoize(key, compute))
 
     @property
     def _noisy(self) -> bool:
@@ -398,102 +404,130 @@ class CascadeScreen:
         ``base_seed + 31 * index`` convention), reused at every stage so
         serial and sharded screens stay bit-identical.
         """
-        reasons: List[str] = []
-        stage = min_stage
+        route = self._start(tsv, index, seed, min_stage, preflight_warned)
+        (decision,) = self._route([route])
+        return decision
+
+    def _start(
+        self,
+        tsv: Any,
+        index: int,
+        seed: int,
+        min_stage: int,
+        preflight_warned: bool,
+    ) -> _Route:
+        route = _Route(tsv=tsv, index=index, seed=seed, stage=min_stage)
         if (
             preflight_warned
             and self.config.escalate_on_preflight
-            and stage == 0
+            and min_stage == 0
             and self.num_stages > 1
         ):
-            stage = 1
-            reasons.append(EscalationReason.PREFLIGHT.value)
+            route.stage = 1
+            route.reasons.append(EscalationReason.PREFLIGHT.value)
+        return route
+
+    def _route(self, routes: Sequence[_Route]) -> List[TsvDecision]:
+        """Run routes stage by stage until every one is decided."""
+        pending = list(routes)
+        while pending:
+            stage = min(route.stage for route in pending)
+            self._screen_stage(
+                stage, [route for route in pending if route.stage == stage]
+            )
+            pending = [route for route in pending if route.decision is None]
+        return [route.decision for route in routes if route.decision is not None]
+
+    def _screen_stage(self, stage: int, routes: Sequence[_Route]) -> None:
+        """Measure ``routes`` at one stage, then decide or escalate each.
+
+        Breadth-first: per supply, every route still live at this
+        stage is measured in one :meth:`_measure` call; a route whose
+        ring stuck at one supply is not measured at the next.
+        """
+        name = self.stage_names[stage]
+        get_telemetry().incr(f"cascade.stage.{name}", len(routes))
+        measured: List[List[Tuple[float, float]]] = [[] for _ in routes]
+        counts = [0] * len(routes)
+        live = list(range(len(routes)))
+        for vdd in self.voltages:
+            if not live:
+                break
+            values = self._measure(
+                stage, vdd, [(routes[k].tsv, routes[k].seed) for k in live]
+            )
+            still = []
+            for k, delta_t in zip(live, values):
+                counts[k] += 2  # this TSV's T1 plus the group's T2 reference
+                if math.isfinite(delta_t):
+                    measured[k].append((vdd, delta_t))
+                    still.append(k)
+            live = still
+        for route, count, vector in zip(routes, counts, measured):
+            route.total += count
+            route.stage_measurements[name] = (
+                route.stage_measurements.get(name, 0) + count
+            )
+            self._judge(route, vector)
+
+    def _judge(
+        self, route: _Route, measured: Sequence[Tuple[float, float]]
+    ) -> None:
+        """Decide ``route`` from its stage measurements or escalate it.
+
+        ``measured`` holds the (supply, DeltaT) pairs up to the first
+        stuck supply, so a short vector is a stuck ring.
+        """
         tele = get_telemetry()
-        total = 0
-        stage_measurements: Dict[str, int] = {}
+        stage = route.stage
+        if len(measured) < len(self.voltages):
+            self._decide(route, True)
+            return
+        if stage == self.top_stage:
+            self._decide(route, any(
+                not self.stage_band(stage, vdd).band.contains(dt)
+                for vdd, dt in measured
+            ))
+            return
+        u_measured = []
+        for vdd, delta_t in measured:
+            fit = self.stage_band(stage, vdd).fit
+            sigma = fit.sigma if fit.sigma > 0.0 else 1.0
+            u_measured.append((delta_t - fit.center) / sigma)
+        hypotheses = self.calibration().match(
+            stage, u_measured, self._tolerance()
+        )
+        if not hypotheses:
+            route.reasons.append(EscalationReason.NOVEL.value)
+            tele.incr("cascade.escalations.novel")
+            route.stage += 1
+            return
+        margin = self._verdict_margin()
+        edges = self._top_edges()
+        statuses = {
+            self._hypothesis_status(h, edges, margin) for h in hypotheses
+        }
+        if statuses in ({"in"}, {"out"}):
+            self._decide(route, statuses == {"out"})
+            return
+        if "near" in statuses:
+            route.reasons.append(EscalationReason.NEAR_BAND.value)
+            tele.incr("cascade.escalations.near_band")
+        else:
+            route.reasons.append(EscalationReason.LOW_AGREEMENT.value)
+            tele.incr("cascade.escalations.low_agreement")
+        route.stage += 1
 
-        while True:
-            name = self.stage_names[stage]
-            tele.incr(f"cascade.stage.{name}")
-            measured: List[Tuple[float, float]] = []
-            count = 0
-            stuck = False
-            for vdd in self.voltages:
-                delta_t = self._measure(stage, tsv, vdd, seed)
-                count += 2  # this TSV's T1 plus the group's T2 reference
-                if not math.isfinite(delta_t):
-                    stuck = True
-                    break
-                measured.append((vdd, delta_t))
-            total += count
-            stage_measurements[name] = (
-                stage_measurements.get(name, 0) + count
-            )
-            if stuck:
-                return self._decide(
-                    index, True, stage, reasons, total, stage_measurements
-                )
-            if stage == self.top_stage:
-                flagged = any(
-                    not self.stage_band(stage, vdd).band.contains(dt)
-                    for vdd, dt in measured
-                )
-                return self._decide(
-                    index, flagged, stage, reasons, total,
-                    stage_measurements,
-                )
-            u_measured = []
-            for vdd, delta_t in measured:
-                fit = self.stage_band(stage, vdd).fit
-                sigma = fit.sigma if fit.sigma > 0.0 else 1.0
-                u_measured.append((delta_t - fit.center) / sigma)
-            hypotheses = self.calibration().match(
-                stage, u_measured, self._tolerance()
-            )
-            if not hypotheses:
-                reasons.append(EscalationReason.NOVEL.value)
-                tele.incr("cascade.escalations.novel")
-                stage += 1
-                continue
-            margin = self._verdict_margin()
-            edges = self._top_edges()
-            statuses = {
-                self._hypothesis_status(h, edges, margin)
-                for h in hypotheses
-            }
-            if statuses == {"in"}:
-                return self._decide(
-                    index, False, stage, reasons, total, stage_measurements
-                )
-            if statuses == {"out"}:
-                return self._decide(
-                    index, True, stage, reasons, total, stage_measurements
-                )
-            if "near" in statuses:
-                reasons.append(EscalationReason.NEAR_BAND.value)
-                tele.incr("cascade.escalations.near_band")
-            else:
-                reasons.append(EscalationReason.LOW_AGREEMENT.value)
-                tele.incr("cascade.escalations.low_agreement")
-            stage += 1
-
-    def _decide(
-        self,
-        index: int,
-        flagged: bool,
-        stage: int,
-        reasons: List[str],
-        measurements: int,
-        stage_measurements: Dict[str, int],
-    ) -> TsvDecision:
-        return TsvDecision(
-            index=index,
+    def _decide(self, route: _Route, flagged: bool) -> None:
+        """Settle ``route`` with a verdict at its current stage."""
+        route.decision = TsvDecision(
+            index=route.index,
             flagged=flagged,
-            stage=stage,
-            stage_name=self.stage_names[stage],
-            reasons=reasons,
-            measurements=measurements,
-            stage_measurements=stage_measurements,
+            stage=route.stage,
+            stage_name=self.stage_names[route.stage],
+            reasons=route.reasons,
+            measurements=route.total,
+            stage_measurements=route.stage_measurements,
         )
 
     # ------------------------------------------------------------------
@@ -507,19 +541,23 @@ class CascadeScreen:
 
         ``population`` is anything iterable over records with ``index``
         and ``tsv`` (a :class:`~repro.workloads.generator.DiePopulation`).
+        The die is screened breadth-first: stage 0 for every TSV at
+        once, then every escalated TSV per supply at the next stage --
+        the same decisions, accounting and memo keys as routing each
+        TSV alone through :meth:`classify`.
         """
         records = list(population)
         fingerprint = solve_cache.fingerprint(
             "cascade.die", [(rec.index, rec.tsv) for rec in records]
         )
         preflight = preflight_warned and self.config.escalate_on_preflight
-        decisions = [
-            self.classify(
-                rec.tsv, rec.index, seed=base_seed + 31 * rec.index,
-                preflight_warned=preflight_warned,
+        decisions = self._route([
+            self._start(
+                rec.tsv, rec.index, base_seed + 31 * rec.index,
+                min_stage=0, preflight_warned=preflight_warned,
             )
             for rec in records
-        ]
+        ])
         max_stage = max((d.stage for d in decisions), default=0)
         if preflight:
             get_telemetry().incr("cascade.escalations.preflight")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ __all__ = [
     "characterization_samples",
     "characterize_stage",
     "default_calibration_signatures",
-    "nominal_delta_t",
+    "measure_pending",
     "quant_guard",
     "transfer_stage",
 ]
@@ -186,27 +186,79 @@ def default_calibration_signatures() -> Dict[str, List[Tsv]]:
     }
 
 
-def nominal_delta_t(engine: object, tsv: Tsv) -> float:
-    """One deterministic (no-variation) DeltaT solve, memoized.
+def measure_pending(
+    engine: object,
+    pending: Sequence[Tuple[Tsv, int]],
+    variation: Optional[ProcessVariation] = None,
+    memo: Optional[str] = None,
+) -> List[float]:
+    """DeltaT of every pending ``(tsv, seed)`` at one engine, breadth-first.
 
-    Shares the ``measure.deterministic`` key family with the flow's and
-    cascade's deterministic measurement paths, so a calibration probe
-    and a deterministic screen of the same circuit pay one solve
-    between them.  A ring that cannot oscillate yields ``NaN``.
+    Cache hits are served first; the misses go to the engine as one
+    :meth:`~repro.core.engines.base.Engine.measure_batch` call, so
+    same-structure TSVs share one stacked solve pair (engines without
+    the :class:`~repro.core.engines.base.Engine` surface are measured
+    one by one, as ``measure`` would).  Each result is memoized under
+    the key the one-TSV path has always used:
+
+    * deterministic measurements (``variation=None``) under
+      ``("measure.deterministic", engine, tsv, 1)`` -- seed-free, and
+      shared by the flow, the cascade and calibration, so identical
+      TSVs cost one solve per engine regardless of die, seed or caller;
+    * noisy measurements under ``(memo, engine, tsv, 1, variation,
+      seed)`` when ``memo`` names a key family (the cascade's escalated
+      ``"cascade.measure"``), and not at all otherwise.
+
+    Every measurement is of one TSV (``m=1``).  A ring that cannot
+    oscillate yields ``NaN``.
     """
-    key = solve_cache.fingerprint("measure.deterministic", engine, tsv, 1)
+    if variation is None:
+        keys: Optional[List[str]] = [
+            solve_cache.fingerprint("measure.deterministic", engine, tsv, 1)
+            for tsv, _ in pending
+        ]
+    elif memo is not None:
+        keys = [
+            solve_cache.fingerprint(memo, engine, tsv, 1, variation, seed)
+            for tsv, seed in pending
+        ]
+    else:
+        keys = None
 
-    def compute() -> float:
+    def compute(positions: List[int]) -> List[float]:
+        chosen = [pending[p] for p in positions]
         if is_engine(engine):
-            result = engine.measure(MeasurementRequest(
-                tsv=tsv, m=1, seed=0, variation=None, num_samples=None,
-            ))
-            return float(result.delta_t)
+            results = engine.measure_batch([
+                MeasurementRequest(
+                    tsv=tsv, m=1, seed=seed, variation=variation,
+                    num_samples=1 if variation is not None else None,
+                )
+                for tsv, seed in chosen
+            ])
+            return [float(result.delta_t) for result in results]
+        return [_duck_delta_t(engine, tsv, seed, variation)
+                for tsv, seed in chosen]
+
+    if keys is None:
+        return compute(list(range(len(pending))))
+    return [float(v) for v in solve_cache.memoize_many(keys, compute)]
+
+
+def _duck_delta_t(
+    engine: object,
+    tsv: Tsv,
+    seed: int,
+    variation: Optional[ProcessVariation],
+) -> float:
+    """One DeltaT from a duck-typed engine, the way ``measure`` maps it."""
+    if variation is None:
         try:
-            return float(engine.delta_t(tsv))  # type: ignore[attr-defined]
+            return float(engine.delta_t(tsv, m=1))  # type: ignore[attr-defined]
         except RuntimeError:
             return math.nan
-    return float(solve_cache.memoize(key, compute))
+    return float(engine.delta_t_mc(  # type: ignore[attr-defined]
+        tsv, variation, 1, m=1, seed=seed
+    )[0])
 
 
 def _nominal_delta_t(engine: object, seed: int) -> float:

@@ -12,7 +12,7 @@ scenarios share the engine recipe and variation model but carry
 *different* die populations (different netlist fingerprints), so
 adjacent requests from different scenarios at the same supply fall into
 one topology family with distinct exact keys -- exactly the load that
-makes ``coalesce="family"`` ragged-pack across scenarios
+makes ``coalesce="family"`` coalesce across scenarios
 (``service.family_span`` > 1) while ``coalesce="exact"`` fragments into
 per-netlist batches.  Both policies must (and do) return bit-identical
 measurements; the ``compiler-smoke`` bench asserts it.

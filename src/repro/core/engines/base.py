@@ -81,13 +81,13 @@ class EngineCapabilities:
             for coalescible requests.  When False the base class still
             provides ``measure_batch`` as a per-request loop, and
             ``batch_key`` answers None (nothing coalesces).
-        family_requests: ``family_key`` answers a *coarse* topology-level
-            key and ``measure_batch`` can pack requests whose family keys
-            match -- but whose exact ``batch_key``s differ -- into one
-            ragged cross-topology solve
-            (:mod:`repro.spice.ragged`).  When False ``family_key``
-            degenerates to ``batch_key`` (families are exact groups,
-            nothing extra coalesces).
+        family_requests: ``family_key`` answers a *coarse* key and
+            ``measure_batch`` can share solves between requests whose
+            family keys match but whose exact ``batch_key``s differ
+            (the stage-delay engine stacks same-structure circuits by
+            value).  When False ``family_key`` degenerates to
+            ``batch_key`` (families are exact groups, nothing extra
+            coalesces).
         parameter_sweeps: ``delta_t_sweep_ro``/``delta_t_sweep_rl`` are
             native batched sweeps (one stacked MNA run); otherwise the
             generic per-point fallback runs.
@@ -412,11 +412,10 @@ class Engine(abc.ABC):
         Where :meth:`batch_key` fingerprints *everything* that shapes the
         solve -- including element values, so every distinct fault
         resistance is its own group -- the family key fingerprints only
-        what must match for requests to share one ragged packed time
-        loop (:mod:`repro.spice.ragged`): the engine parameters, the
-        effective supply and stop policy, and the solver configuration.
-        Requests with equal (non-None) family keys but different exact
-        keys may be packed into one cross-topology solve with results
+        the engine parameters, the effective supply and stop policy, and
+        the solver configuration.  Requests with equal (non-None) family
+        keys but different exact keys reach one :meth:`measure_batch`
+        call, which may share solves between them with results
         bit-identical to measuring each exact group alone.
 
         The base class degenerates to :meth:`batch_key`

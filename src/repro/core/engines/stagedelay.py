@@ -23,12 +23,28 @@ from repro.core.segments import RingOscillatorConfig
 from repro.core.tsv import Leakage, ResistiveOpen, Tsv
 from repro.spice import Pulse, transient
 from repro.spice.batch import BatchedResult, BatchParameters, BatchedSimulation
-from repro.spice.ragged import ragged_transient
-from repro.spice.cache import circuit_fingerprint, fingerprint, memoize
+from repro.spice.cache import (
+    circuit_fingerprint,
+    fingerprint,
+    memoize,
+    structure_fingerprint,
+)
+from repro.spice.mna import ConvergenceError
 from repro.spice.montecarlo import ProcessSample, ProcessVariation
 from repro.spice.netlist import Circuit, GROUND
 from repro.spice.waveform import NoOscillationError
 from repro.telemetry import get_telemetry
+
+
+def _element_value(circuit: Circuit, name: str) -> float:
+    """The value of the resistor or capacitor ``name`` in ``circuit``."""
+    for r in circuit.resistors:
+        if r.name == name:
+            return float(r.resistance)
+    for c in circuit.capacitors:
+        if c.name == name:
+            return float(c.capacitance)
+    raise KeyError(f"no resistor or capacitor named {name!r} in circuit")
 
 
 def _first_crossings_after(
@@ -72,7 +88,10 @@ class StageDelayEngine(Engine):
     TE mux) delays.
 
     Monte Carlo runs are batched: all corners are simulated in one stacked
-    MNA run (:mod:`repro.spice.batch`).
+    MNA run (:mod:`repro.spice.batch`).  :meth:`measure_batch` stacks
+    by value as well: requests whose segment circuits differ only in the
+    TSV's own element values run as corners of one on/bypassed pair,
+    bit-identical to measuring them one at a time.
     """
 
     config: RingOscillatorConfig = RingOscillatorConfig()
@@ -246,23 +265,6 @@ class StageDelayEngine(Engine):
         return total
 
     # -- batched Monte Carlo ----------------------------------------------
-    def _segment_sim(
-        self,
-        tsv: Tsv,
-        bypassed: bool,
-        params: BatchParameters,
-        sweepable: bool = False,
-        resistor_overrides: Optional[Dict[str, np.ndarray]] = None,
-    ) -> BatchedSimulation:
-        """Compile one segment circuit + corner overrides, ready to run."""
-        circuit, elements = self._segment_circuit(
-            tsv, bypassed, sample=None, sweepable=sweepable
-        )
-        if resistor_overrides:
-            for short_name, values in resistor_overrides.items():
-                params = params.with_resistor(elements[short_name], values)
-        return BatchedSimulation(circuit, params)
-
     def _delays_from_result(
         self, result: BatchedResult
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -279,6 +281,16 @@ class StageDelayEngine(Engine):
         d_fall = _first_crossings_after(result.time, vout, half, "fall", tf) - tf
         return d_rise, d_fall
 
+    def _circuit_delays(
+        self, circuit: Circuit, params: BatchParameters, max_retries: int = 4
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-corner (tpLH, tpHL) arrays; NaN where the path is stuck."""
+        result = BatchedSimulation(circuit, params).transient(
+            self.stop_time(), self.timestep, record=["din", "dout"],
+            max_retries=max_retries,
+        )
+        return self._delays_from_result(result)
+
     def _batched_segment_delays(
         self,
         tsv: Tsv,
@@ -287,14 +299,13 @@ class StageDelayEngine(Engine):
         sweepable: bool = False,
         resistor_overrides: Optional[Dict[str, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-corner (tpLH, tpHL) arrays; NaN where the path is stuck."""
-        sim = self._segment_sim(
-            tsv, bypassed, params, sweepable, resistor_overrides
+        """One segment circuit + corner overrides, run and measured."""
+        circuit, elements = self._segment_circuit(
+            tsv, bypassed, sample=None, sweepable=sweepable
         )
-        result = sim.transient(
-            self.stop_time(), self.timestep, record=["din", "dout"]
-        )
-        return self._delays_from_result(result)
+        for short_name, values in (resistor_overrides or {}).items():
+            params = params.with_resistor(elements[short_name], values)
+        return self._circuit_delays(circuit, params)
 
     def delta_t_mc(
         self,
@@ -338,14 +349,27 @@ class StageDelayEngine(Engine):
             engine = replace(engine, stop_policy=request.stop_policy)
         return engine
 
+    def _knobs_key(self) -> str:
+        """Fingerprint of everything but the netlist that shapes a solve."""
+        return fingerprint(
+            "stagedelay.family_key",
+            type(self).__name__,
+            self.config,
+            self.timestep,
+            self.input_slew,
+            self.pulse_width,
+            self.stop_policy,
+        )
+
     def batch_key(self, request: MeasurementRequest) -> Optional[str]:
         """Compatibility key: engine knobs + effective supply + netlist.
 
-        Only Monte Carlo requests coalesce: the scalar path bakes a
-        :class:`ProcessSample` into the netlist at build time, so two
-        scalar requests never share a circuit.  The key is memoized
-        through the solve cache -- repeated request shapes skip the
-        netlist build and fingerprint walk.
+        Only Monte Carlo requests get a key, so only they coalesce in
+        the screening service; nominal requests stack only when a
+        caller hands several to :meth:`measure_batch` at once (the
+        cascade, its calibration and the screening flow do).  The key
+        is memoized through the solve cache -- repeated request shapes
+        skip the netlist build and fingerprint walk.
         """
         if request.num_samples is None:
             return None
@@ -377,76 +401,123 @@ class StageDelayEngine(Engine):
 
         Where :meth:`batch_key` fingerprints the circuit content (so
         every distinct fault resistance is its own group), the family
-        key only fingerprints what every member of a ragged pack must
-        share: the engine parameters, the effective
+        key only fingerprints the engine parameters, the effective
         :class:`~repro.core.segments.RingOscillatorConfig` (which
         carries the supply) and the stop policy.  All same-supply Monte
-        Carlo requests therefore coalesce into one family regardless of
-        their TSV fault values -- the realistic mixed-wafer load the
-        exact key fragments into singletons.
+        Carlo requests therefore reach :meth:`measure_batch` together
+        regardless of their TSV fault values -- the realistic
+        mixed-wafer load the exact key fragments into singletons -- and
+        it splits them by structure there.
         """
         if request.num_samples is None:
             return None
-        engine = self._rebound(request)
-        return fingerprint(
-            "stagedelay.family_key",
-            type(engine).__name__,
-            engine.config,
-            engine.timestep,
-            engine.input_slew,
-            engine.pulse_width,
-            engine.stop_policy,
-        )
+        return self._rebound(request)._knobs_key()
 
     def measure_batch(
         self, requests: Sequence[MeasurementRequest]
     ) -> List[MeasurementResult]:
-        """Execute requests, stacking and packing compatible ones.
+        """Execute requests; same-structure ones run as one stacked pair.
 
-        Two coalescing tiers:
+        Requests split by rebound engine (supply, stop policy), by
+        structure key -- the segment circuit's
+        :func:`~repro.spice.cache.structure_fingerprint` with the TSV's
+        own element values masked -- and by Monte Carlo versus nominal.
+        Each group runs as one on/bypassed :class:`BatchedSimulation`
+        pair: every member's TSV element values go in as per-corner
+        overrides over that member's corners; Monte Carlo members
+        bring their own mismatch draws
+        (exactly as :meth:`measure` draws them), nominal members one
+        nominal corner.  The per-corner arithmetic is the serial
+        path's, so every result is bit-identical to :meth:`measure`.
 
-        * Requests with equal non-None :meth:`batch_key` draw their
-          mismatch corners independently (exactly as :meth:`measure`
-          would) and run as one concatenated :class:`BatchParameters`
-          through a single on/bypassed simulation pair.
-        * Exact groups that differ in circuit content but share a
-          :meth:`family_key` -- different fault values, same engine
-          configuration -- are packed into one ragged cross-topology
-          solve (:func:`repro.spice.ragged.ragged_transient`).
-
-        Either way per-request results are bit-identical to serial
-        measurement.  Scalar requests and families containing a single
-        singleton group fall back to :meth:`measure`.
+        Step bisection and the DC gmin ladder act on every corner of a
+        stacked run at once, so the pair runs without them
+        (``max_retries=0``): a group whose DC solve or time loop would
+        need either is re-measured member by member through
+        :meth:`measure` and counted in ``stagedelay.stack_fallbacks``.
+        Nominal requests with ``m > 1`` and nominal requests with a
+        process variation (a sample baked into the netlist) go to
+        :meth:`measure` alone.
         """
         results: List[Optional[MeasurementResult]] = [None] * len(requests)
-        families: Dict[str, Dict[str, List[int]]] = {}
+        groups: Dict[Tuple[str, str, bool], List[int]] = {}
+        circuits: Dict[int, Tuple[Circuit, Dict[str, str]]] = {}
         for i, request in enumerate(requests):
-            key = self.batch_key(request)
-            if key is None:
+            sampled = request.num_samples is not None
+            if not sampled and (request.m != 1 or request.variation is not None):
                 results[i] = self.measure(request)
                 continue
-            family = self.family_key(request) or key
-            families.setdefault(family, {}).setdefault(key, []).append(i)
-        for subgroups in families.values():
-            get_telemetry().observe("stagedelay.family_span", len(subgroups))
-            if len(subgroups) == 1:
-                (indices,) = subgroups.values()
-                if len(indices) == 1:
-                    results[indices[0]] = self.measure(requests[indices[0]])
-                    continue
-                grouped = self._measure_group(
-                    [requests[i] for i in indices]
-                )
-                for i, result in zip(indices, grouped):
-                    results[i] = result
-                continue
-            packed = self._measure_family(
-                [[requests[i] for i in idx] for idx in subgroups.values()]
+            engine = self._rebound(request)
+            circuit, elements = engine._segment_circuit(request.tsv, bypassed=False)
+            circuits[i] = (circuit, elements)
+            key = (
+                engine._knobs_key(),
+                structure_fingerprint(circuit, elements.values()),
+                sampled,
             )
-            for indices, grouped in zip(subgroups.values(), packed):
-                for i, result in zip(indices, grouped):
-                    results[i] = result
+            groups.setdefault(key, []).append(i)
+        for indices in groups.values():
+            group = [requests[i] for i in indices]
+            try:
+                grouped = self._measure_stacked(
+                    group, [circuits[i] for i in indices]
+                )
+            except ConvergenceError:
+                get_telemetry().incr("stagedelay.stack_fallbacks")
+                grouped = [self.measure(request) for request in group]
+            for i, result in zip(indices, grouped):
+                results[i] = result
         return [r for r in results if r is not None]
+
+    def _measure_stacked(
+        self,
+        requests: Sequence[MeasurementRequest],
+        circuits: Sequence[Tuple[Circuit, Dict[str, str]]],
+    ) -> List[MeasurementResult]:
+        """One on/bypassed pair for same-structure requests, no fallbacks.
+
+        ``circuits`` are the members' own (on-path) segment circuits.
+        Raises :class:`~repro.spice.mna.ConvergenceError` where a step
+        would need halving or a DC solve the gmin ladder.
+        """
+        first = requests[0]
+        engine = self._rebound(first)
+        probe, elements = circuits[0]
+        if first.num_samples is None:
+            parts = [BatchParameters.nominal(1)] * len(requests)
+        else:
+            parts = engine._mc_parts(probe, requests)
+        params = BatchParameters.concat(parts)
+        counts = [part.num_corners for part in parts]
+        resistors = {r.name for r in probe.resistors}
+        for name in elements.values():
+            values = np.repeat(
+                [_element_value(circuit, name) for circuit, _ in circuits],
+                counts,
+            )
+            if name in resistors:
+                params = params.with_resistor(name, values)
+            else:
+                params = params.with_capacitor(name, values)
+        get_telemetry().incr("stagedelay.stacked_pairs")
+        bypassed, _ = engine._segment_circuit(first.tsv, bypassed=True)
+        on_r, on_f = engine._circuit_delays(probe, params, max_retries=0)
+        off_r, off_f = engine._circuit_delays(bypassed, params, max_retries=0)
+        per_corner = (on_r + on_f) - (off_r + off_f)
+        if first.num_samples is not None:
+            return engine._slice_results(requests, parts, per_corner)
+        results: List[MeasurementResult] = []
+        for request, delta_t in zip(requests, per_corner):
+            get_telemetry().incr(f"measure.{self.engine_name}")
+            results.append(MeasurementResult(
+                delta_t=float(delta_t),
+                engine=self.engine_name,
+                vdd=engine.config.vdd,
+                m=request.m,
+                seed=request.seed,
+                tags=dict(request.tags),
+            ))
+        return results
 
     def _mc_parts(
         self, circuit_probe: Circuit, requests: Sequence[MeasurementRequest]
@@ -492,57 +563,6 @@ class StageDelayEngine(Engine):
                 tags=dict(request.tags),
             ))
         return results
-
-    def _measure_group(
-        self, requests: Sequence[MeasurementRequest]
-    ) -> List[MeasurementResult]:
-        """One stacked solve pair for requests sharing a batch key."""
-        first = requests[0]
-        engine = self._rebound(first)
-        circuit_probe, _ = engine._segment_circuit(first.tsv, bypassed=False)
-        parts = engine._mc_parts(circuit_probe, requests)
-        params = BatchParameters.concat(parts)
-        on_r, on_f = engine._batched_segment_delays(first.tsv, False, params)
-        off_r, off_f = engine._batched_segment_delays(first.tsv, True, params)
-        per_corner = (on_r + on_f) - (off_r + off_f)
-        return engine._slice_results(requests, parts, per_corner)
-
-    def _measure_family(
-        self, groups: Sequence[Sequence[MeasurementRequest]]
-    ) -> List[List[MeasurementResult]]:
-        """One ragged pack for several exact groups sharing a family.
-
-        Each group's on/bypassed simulation pair becomes two pack
-        members; the whole family then advances through one shared time
-        loop, with one bucketed LAPACK call per distinct matrix
-        dimension per Newton iteration instead of one solve per group.
-        Bucket packing keeps every member bit-identical to running its
-        group alone through :meth:`_measure_group`.
-        """
-        engine = self._rebound(groups[0][0])
-        sims: List[BatchedSimulation] = []
-        all_parts: List[List[BatchParameters]] = []
-        for group in groups:
-            first = group[0]
-            circuit_probe, _ = engine._segment_circuit(
-                first.tsv, bypassed=False
-            )
-            parts = engine._mc_parts(circuit_probe, group)
-            all_parts.append(parts)
-            params = BatchParameters.concat(parts)
-            sims.append(engine._segment_sim(first.tsv, False, params))
-            sims.append(engine._segment_sim(first.tsv, True, params))
-        results = ragged_transient(
-            sims, engine.stop_time(), engine.timestep,
-            record=["din", "dout"],
-        )
-        out: List[List[MeasurementResult]] = []
-        for g, (group, parts) in enumerate(zip(groups, all_parts)):
-            on_r, on_f = engine._delays_from_result(results[2 * g])
-            off_r, off_f = engine._delays_from_result(results[2 * g + 1])
-            per_corner = (on_r + on_f) - (off_r + off_f)
-            out.append(engine._slice_results(group, parts, per_corner))
-        return out
 
     def delta_t_sweep_ro(
         self,

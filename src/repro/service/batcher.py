@@ -7,8 +7,8 @@ coarse topology-family key (engine parameters + effective supply -- see
 :meth:`repro.core.engines.base.Engine.family_key`), under ``"exact"``
 the full batch key with the circuit fingerprint included
 (:meth:`~repro.core.engines.base.Engine.batch_key`).  Family groups may
-span several exact keys; the engine re-partitions and ragged-packs them
-inside ``measure_batch``.  A group is flushed to the worker dispatch
+span several exact keys; the engine splits them by structure and stacks
+each structure's members into one solve pair inside ``measure_batch``.  A group is flushed to the worker dispatch
 queue when the first of three things happens:
 
 * it reaches ``max_batch_size`` (flush immediately -- the solve is as

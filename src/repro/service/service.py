@@ -97,7 +97,8 @@ class ServiceConfig:
         coalesce: Request-grouping policy: ``"family"`` (default) groups
             by the engine's coarse topology-family key, so requests that
             differ only in circuit content -- distinct fault values on a
-            mixed wafer -- share one ragged packed solve; ``"exact"``
+            mixed wafer -- reach one ``measure_batch`` call, which stacks
+            same-structure circuits into one solve pair; ``"exact"``
             groups by the exact batch key (circuit fingerprint included,
             the pre-family behavior); ``"none"`` disables coalescing
             entirely (every request solves alone).
@@ -314,8 +315,8 @@ class ScreeningService:
             if exact is not None:
                 # Family grouping widens the coalescing pool: requests
                 # whose exact keys differ (distinct fault values) still
-                # share one ragged packed solve when the engine supports
-                # it; the engine re-partitions by exact key internally.
+                # share one measure_batch call when the engine supports
+                # it; the engine splits it by structure internally.
                 key = (
                     engine.family_key(measurement) or exact
                     if self.config.coalesce == "family" else exact

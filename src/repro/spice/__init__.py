@@ -20,7 +20,9 @@ This package replaces the HSPICE runs of the paper.  It provides:
   transients all run through.
 * :mod:`repro.spice.ragged` -- ragged cross-topology batch packing:
   mixed circuits advanced through one shared time loop with
-  dimension-bucketed (bit-identical) stacked solves.
+  dimension-bucketed (bit-identical) stacked solves.  The measurement
+  path stacks same-structure circuits by value in one
+  :class:`~repro.spice.batch.BatchedSimulation` instead.
 * :mod:`repro.spice.dc` -- DC operating-point analysis.
 * :mod:`repro.spice.transient` -- backward-Euler / trapezoidal transient
   analysis.

@@ -272,7 +272,11 @@ class BatchedSimulation:
         )
 
     # ------------------------------------------------------------------
-    def solve_dc(self, ics: Optional[Dict[str, float]] = None) -> np.ndarray:
+    def solve_dc(
+        self,
+        ics: Optional[Dict[str, float]] = None,
+        gmin_stepping: bool = True,
+    ) -> np.ndarray:
         """Batched DC solve with gmin stepping fallback; returns (S, size)."""
         space = self.plan.reduced
         return solve_dc_plan(
@@ -283,6 +287,7 @@ class BatchedSimulation:
             t=0.0,
             ics=ics,
             a_linear=space.assemble_linear(self.res_g),
+            gmin_stepping=gmin_stepping,
         )
 
     def stepper(self) -> TransientStepper:
@@ -311,8 +316,14 @@ class BatchedSimulation:
         method: str = "trap",
         max_retries: int = 4,
     ) -> BatchedResult:
-        """Run the batched transient; see :func:`repro.spice.transient.transient`."""
-        x = self.solve_dc(ics=ics)
+        """Run the batched transient; see :func:`repro.spice.transient.transient`.
+
+        ``max_retries=0`` turns off both fallbacks that act on every
+        corner at once -- step bisection and the DC gmin ladder -- so a
+        failing corner raises :class:`~repro.spice.mna.ConvergenceError`
+        rather than changing its neighbours' trajectories.
+        """
+        x = self.solve_dc(ics=ics, gmin_stepping=max_retries > 0)
         record_nodes = list(record) if record is not None else self.circuit.nodes
         record_idx = {n: self.circuit.node_index(n) for n in record_nodes}
         times, (traces,) = integrate(

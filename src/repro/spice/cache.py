@@ -46,7 +46,17 @@ import sqlite3
 import warnings
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -62,6 +72,8 @@ __all__ = [
     "get_cache",
     "install_cache",
     "memoize",
+    "memoize_many",
+    "structure_fingerprint",
     "use_cache",
 ]
 
@@ -134,6 +146,40 @@ def fingerprint(*parts: Any) -> str:
     return digest
 
 
+def _netlist_digest(
+    circuit: Circuit, header: str, masked: Optional[Collection[str]]
+) -> str:
+    """SHA-256 over the netlist lines, with masked element values as ``*``.
+
+    ``masked=None`` masks every element value; otherwise only the named
+    elements' values are masked.
+    """
+
+    def value(name: str, text: str) -> str:
+        return "*" if masked is None or name in masked else text
+
+    out: list = [header, circuit.title]
+    for r in circuit.resistors:
+        out.append(f"R|{r.name}|{r.n1}|{r.n2}|"
+                   + value(r.name, float(r.resistance).hex()))
+    for c in circuit.capacitors:
+        out.append(f"C|{c.name}|{c.n1}|{c.n2}|"
+                   + value(c.name, float(c.capacitance).hex()))
+    for v in circuit.vsources:
+        out.append(f"V|{v.name}|{v.npos}|{v.nneg}|"
+                   + value(v.name, repr(v.waveform)))
+    for i in circuit.isources:
+        out.append(f"I|{i.name}|{i.npos}|{i.nneg}|"
+                   + value(i.name, repr(i.waveform)))
+    for m in circuit.mosfets:
+        out.append(
+            f"M|{m.name}|{m.drain}|{m.gate}|{m.source}|{m.bulk}|"
+            + value(m.name, f"{m.model!r}|{float(m.w).hex()}"
+                            f"|{float(m.l).hex()}")
+        )
+    return hashlib.sha256("\n".join(out).encode()).hexdigest()
+
+
 def circuit_fingerprint(circuit: Circuit) -> str:
     """Content digest of a netlist: every element, node, and value.
 
@@ -141,21 +187,23 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     both depend on build order, so circuits that differ only in ordering
     are deliberately distinct.
     """
-    out: list = ["circuit:", circuit.title]
-    for r in circuit.resistors:
-        out.append(f"R|{r.name}|{r.n1}|{r.n2}|{float(r.resistance).hex()}")
-    for c in circuit.capacitors:
-        out.append(f"C|{c.name}|{c.n1}|{c.n2}|{float(c.capacitance).hex()}")
-    for v in circuit.vsources:
-        out.append(f"V|{v.name}|{v.npos}|{v.nneg}|{v.waveform!r}")
-    for i in circuit.isources:
-        out.append(f"I|{i.name}|{i.npos}|{i.nneg}|{i.waveform!r}")
-    for m in circuit.mosfets:
-        out.append(
-            f"M|{m.name}|{m.drain}|{m.gate}|{m.source}|{m.bulk}"
-            f"|{m.model!r}|{float(m.w).hex()}|{float(m.l).hex()}"
-        )
-    return hashlib.sha256("\n".join(out).encode()).hexdigest()
+    return _netlist_digest(circuit, "circuit:", masked=())
+
+
+def structure_fingerprint(
+    circuit: Circuit, masked: Optional[Collection[str]] = None
+) -> str:
+    """Digest of a netlist's structure: its values masked out.
+
+    Names, node wiring and build order stay in.  ``masked=None`` masks
+    every element value (a pure topology: the supply, device sizes and
+    resistances all drop out); a collection of element names masks only
+    theirs.  Two circuits with equal structure fingerprints compile to
+    the same stamp plan and differ only in the masked values, so they
+    can run as corners of one batched simulation with those values as
+    per-corner overrides.
+    """
+    return _netlist_digest(circuit, "structure:", masked)
 
 
 # ----------------------------------------------------------------------
@@ -207,16 +255,40 @@ class SolveCache:
 
     def memoize(self, key: str, compute: Callable[[], T]) -> T:
         """Return the cached value for ``key``, computing it on a miss."""
-        value = self._get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            get_telemetry().incr("cache_hits")
-            return value  # type: ignore[no-any-return]
-        self.misses += 1
-        get_telemetry().incr("cache_misses")
-        fresh = compute()
-        self.store(key, fresh)
-        return fresh
+        return self.memoize_many([key], lambda _: [compute()])[0]
+
+    def memoize_many(
+        self,
+        keys: Sequence[str],
+        compute: Callable[[List[int]], Sequence[T]],
+    ) -> List[T]:
+        """Return the cached values for ``keys``, computing the misses at once.
+
+        ``compute`` receives the positions of the missing keys and
+        returns their values in that order.  Hits, misses and stores
+        are accounted key by key in order, so a key repeated after its
+        first miss is a hit; :meth:`memoize` is the one-key case.
+        """
+        values: List[Any] = [self._get(key, _MISSING) for key in keys]
+        first: Dict[str, int] = {}
+        for pos, (key, value) in enumerate(zip(keys, values)):
+            if value is _MISSING and key not in first:
+                first[key] = pos
+        fresh = compute(list(first.values())) if first else []
+        stored = dict(zip(first, fresh))
+        for key, value in stored.items():
+            self.store(key, value)
+        out: List[T] = []
+        for pos, (key, value) in enumerate(zip(keys, values)):
+            if first.get(key) == pos:
+                self.misses += 1
+                get_telemetry().incr("cache_misses")
+                out.append(stored[key])
+            else:
+                self.hits += 1
+                get_telemetry().incr("cache_hits")
+                out.append(stored[key] if value is _MISSING else value)
+        return out
 
     def clear(self) -> None:
         self._store.clear()
@@ -460,10 +532,20 @@ def get_cache() -> Optional[SolveCache]:
 
 def memoize(key: str, compute: Callable[[], T]) -> T:
     """Memoize through the current cache; plain call when disabled."""
+    return memoize_many([key], lambda _: [compute()])[0]
+
+
+def memoize_many(
+    keys: Sequence[str], compute: Callable[[List[int]], Sequence[T]]
+) -> List[T]:
+    """:meth:`SolveCache.memoize_many` through the current cache.
+
+    With caching disabled every key is computed, in one call.
+    """
     cache = _CURRENT
     if cache is None:
-        return compute()
-    return cache.memoize(key, compute)
+        return list(compute(list(range(len(keys)))))
+    return cache.memoize_many(keys, compute)
 
 
 def install_cache(cache: Optional[SolveCache]) -> Optional[SolveCache]:

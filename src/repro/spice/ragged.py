@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.spice.batch import BatchedResult, BatchedSimulation
-from repro.spice.cache import fingerprint
+from repro.spice.cache import structure_fingerprint
 from repro.spice.mna import NewtonOptions
 from repro.spice.netlist import Circuit
 from repro.spice.stamping import StampPlan
@@ -54,14 +54,15 @@ __all__ = ["RaggedPack", "TopologyFamily", "ragged_transient"]
 class TopologyFamily:
     """Canonical structural descriptor of one circuit topology.
 
-    Two circuits share a family exactly when their node layouts and
-    element connectivity coincide -- element *values* (resistances,
-    capacitances, device widths) are deliberately excluded, which is
-    what separates a family from a circuit fingerprint: every resistive
-    open of a given subnet shape is one family but a distinct exact
-    fingerprint.  The descriptor also records the condensed solve
-    dimension, which picks the topology's solve bucket inside a ragged
-    pack.
+    Two circuits share a family exactly when their element names, node
+    wiring and build order coincide -- element *values* (resistances,
+    capacitances, device widths, source levels) are deliberately
+    excluded (:func:`~repro.spice.cache.structure_fingerprint` with
+    every value masked), which is what separates a family from a
+    circuit fingerprint: every resistive open of a given subnet shape is
+    one family but a distinct exact fingerprint.  The descriptor also
+    records the condensed solve dimension, which picks the topology's
+    solve bucket inside a ragged pack.
 
     Attributes:
         title: The circuit's title (informational only; not part of
@@ -72,8 +73,8 @@ class TopologyFamily:
         num_resistors: Resistor count.
         num_caps: Capacitor count.
         num_fets: MOSFET count.
-        signature: Content hash of the full structural layout (node
-            indices of every element terminal plus source incidence).
+        signature: The circuit's value-masked
+            :func:`~repro.spice.cache.structure_fingerprint`.
     """
 
     title: str
@@ -91,23 +92,7 @@ class TopologyFamily:
         """The family of ``circuit`` (reusing a compiled ``plan`` if given)."""
         if plan is None:
             plan = StampPlan(circuit, gmin=NewtonOptions().gmin)
-        signature = fingerprint(
-            "spice.topology_family",
-            plan.num_nodes,
-            plan.num_vsrc,
-            tuple(plan.res_i.tolist()),
-            tuple(plan.res_j.tolist()),
-            tuple(plan.cap_n1.tolist()),
-            tuple(plan.cap_n2.tolist()),
-            tuple(plan.fet_d.tolist()),
-            tuple(plan.fet_g.tolist()),
-            tuple(plan.fet_s.tolist()),
-            tuple(plan.fet_b.tolist()),
-            tuple(
-                (circuit.node_index(src.npos), circuit.node_index(src.nneg))
-                for src in circuit.vsources
-            ),
-        )
+        signature = structure_fingerprint(circuit)
         return cls(
             title=circuit.title or "",
             num_nodes=plan.num_nodes,

@@ -306,12 +306,17 @@ def solve_dc_plan(
     ics: Optional[Dict[str, float]] = None,
     guess: Optional[np.ndarray] = None,
     a_linear: Optional[np.ndarray] = None,
+    gmin_stepping: bool = True,
 ) -> np.ndarray:
     """DC operating point with ``.IC`` clamps and gmin-stepping fallback.
 
     ``a_linear`` is the space's linear assembly (shared ``(dim, dim)``
     or stacked ``(S, dim, dim)``), assembled from the space when
-    omitted.  Returns full vectors ``(S, size)``.
+    omitted.  Returns full vectors ``(S, size)``.  The gmin ladder
+    restarts every corner from zeros, so a caller whose corners must
+    each match their own solo solve passes ``gmin_stepping=False`` and
+    gets the first Newton failure as a
+    :class:`~repro.spice.mna.ConvergenceError` instead.
     """
     plan = space.plan
     if a_linear is None:
@@ -343,7 +348,8 @@ def solve_dc_plan(
     try:
         return solve(a, x0, "dc")
     except ConvergenceError:
-        pass
+        if not gmin_stepping:
+            raise
 
     # gmin stepping: solve a sequence of increasingly stiff problems,
     # reusing each solution as the next starting point.

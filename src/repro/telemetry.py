@@ -410,6 +410,12 @@ for _name, _desc in [
     ("measure.*", "measurement-envelope calls, per engine name"),
     ("ragged.packs", "ragged cross-topology packs built"),
     ("ragged.bucket_solves", "dimension-bucketed stacked solves"),
+    ("stagedelay.stacked_pairs", "on/bypassed pairs run for same-structure "
+                                 "request groups"),
+    ("stagedelay.stack_fallbacks", "stacked groups re-measured one by one "
+                                   "after a step or DC solve failed"),
+    ("wafer.dies_failed", "sharded dies whose worker process died, on "
+                          "the die-by-die retry too"),
     ("cascade.stage.*", "TSV screening passes per cascade stage"),
     ("cascade.escalations.*", "cascade escalations by reason"),
     ("compiler.compiled", "die specs compiled into verified architectures"),
@@ -427,7 +433,6 @@ for _name, _desc in [
 for _name, _desc in [
     ("ragged.pack_members", "members coalesced into each ragged pack"),
     ("ragged.pack_corners", "stacked corners per ragged pack"),
-    ("stagedelay.family_span", "exact-key subgroups per family batch"),
 ]:
     register_metric(_name, "histogram", "telemetry", _desc)
 

@@ -21,22 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import DiagnosticReport, record_diagnostics
 from repro.cascade.cascade import CascadeScreen, CascadeState
 from repro.cascade.characterize import (
     characterization_cap_factors,
     characterization_samples,
+    measure_pending,
     quant_guard,
 )
 from repro.cascade.policy import CascadeConfig
-from repro.core.engines.base import MeasurementRequest, is_engine, supports
+from repro.core.engines.base import supports
 from repro.core.engines.registry import as_engine_factory
 from repro.core.session import ReferenceBand
 from repro.core.tsv import Tsv
 from repro.dft.control import MeasurementPlan
-from repro.spice import cache as solve_cache
 from repro.spice.montecarlo import ProcessVariation
 from repro.spice.staticcheck import check_die
 from repro.telemetry import get_telemetry, telemetry_phase
@@ -331,33 +331,21 @@ class ScreeningFlow:
         return report
 
     # ------------------------------------------------------------------
-    def _measure(self, tsv: Tsv, vdd: float, seed: int, m: int = 1) -> float:
-        """One simulated DeltaT measurement of a specific die's TSV.
+    def _measure(
+        self, vdd: float, pending: Sequence[Tuple[Tsv, int]]
+    ) -> List[float]:
+        """Simulated DeltaTs of pending ``(tsv, seed)``s at one supply.
 
-        With ``measurement_variation=None`` the measurement is a
+        One :func:`~repro.cascade.characterize.measure_pending` call, so
+        same-structure TSVs share one stacked solve pair.  With
+        ``measurement_variation=None`` each measurement is a
         deterministic nominal solve, memoized under a seed-free key
         shared with :meth:`CascadeScreen._measure` -- identical TSVs
         cost one solve per engine regardless of die, seed, or caller.
         """
-        engine = self._engines[vdd]
-        variation = self.measurement_variation
-
-        def compute() -> float:
-            if is_engine(engine):
-                result = engine.measure(MeasurementRequest(
-                    tsv=tsv, m=m, seed=seed, variation=variation,
-                    num_samples=1 if variation is not None else None,
-                ))
-                return float(result.delta_t)
-            return float(engine.delta_t_mc(tsv, variation, 1, m=m,
-                                           seed=seed)[0])
-
-        if variation is None:
-            key = solve_cache.fingerprint(
-                "measure.deterministic", engine, tsv, m
-            )
-            return float(solve_cache.memoize(key, compute))
-        return compute()
+        return measure_pending(
+            self._engines[vdd], pending, self.measurement_variation
+        )
 
     def _flagged(self, delta_t: float, vdd: float) -> bool:
         if not math.isfinite(delta_t):
@@ -421,8 +409,8 @@ class ScreeningFlow:
         flagged: Dict[int, bool] = {}
         measurement_count = 0
 
+        isolate: List[Dict[int, TsvRecord]] = []
         for group in population.groups(self.group_size):
-            suspects: List[TsvRecord] = list(group)
             if self.group_screen_first and len(group) > 1:
                 # One T1 with all M TSVs enabled plus one T2, per voltage.
                 # The group DeltaT is the sum of the members' individual
@@ -431,9 +419,9 @@ class ScreeningFlow:
                 for vdd in self.voltages:
                     measurement_count += 2
                     group_dt = 0.0
-                    for rec in group:
-                        dt = self._measure(rec.tsv, vdd,
-                                           seed=base_seed + 31 * rec.index)
+                    for dt in self._measure(vdd, [
+                        (rec.tsv, base_seed + 31 * rec.index) for rec in group
+                    ]):
                         group_dt += dt
                     band = self._bands[vdd]
                     scale = len(group)
@@ -446,24 +434,29 @@ class ScreeningFlow:
                     for rec in group:
                         flagged[rec.index] = False
                     continue
-            # Per-TSV isolation: at each voltage one shared T2 for the
-            # group, then one T1 per still-unresolved TSV (a TSV flagged
-            # at an earlier voltage needs no further measurements).
-            pending = {rec.index: rec for rec in suspects}
-            for rec in suspects:
+            isolate.append({rec.index: rec for rec in group})
+            for rec in group:
                 flagged[rec.index] = False
-            for vdd in self.voltages:
-                if not pending:
-                    break
-                measurement_count += 1  # shared T2
-                for index in list(pending):
-                    rec = pending[index]
-                    measurement_count += 1  # this TSV's T1
-                    dt = self._measure(rec.tsv, vdd,
-                                       seed=base_seed + 31 * rec.index)
-                    if self._flagged(dt, vdd):
-                        flagged[rec.index] = True
-                        del pending[index]
+        # Per-TSV isolation, breadth-first over the die: at each voltage
+        # one shared T2 per group, then one T1 per still-unresolved TSV,
+        # all measured at once (a TSV flagged at an earlier voltage needs
+        # no further measurements).
+        for vdd in self.voltages:
+            isolate = [pending for pending in isolate if pending]
+            if not isolate:
+                break
+            entries = [
+                (pending, rec) for pending in isolate
+                for rec in pending.values()
+            ]
+            measurement_count += len(isolate) + len(entries)  # T2s + T1s
+            values = self._measure(vdd, [
+                (rec.tsv, base_seed + 31 * rec.index) for _, rec in entries
+            ])
+            for (pending, rec), dt in zip(entries, values):
+                if self._flagged(dt, vdd):
+                    flagged[rec.index] = True
+                    del pending[rec.index]
 
         self._account(population, flagged, metrics)
         metrics.measurements = measurement_count

@@ -67,8 +67,9 @@ class LoadReport:
     #: under family coalescing (``service.family_span``).
     family_span_mean: float = 1.0
     family_span_max: float = 1.0
-    #: Ragged cross-topology packs the engines ran (``ragged.packs``).
-    ragged_packs: int = 0
+    #: Value-stacked on/bypassed pairs the stage-delay engine ran for
+    #: same-structure request groups (``stagedelay.stacked_pairs``).
+    stacked_pairs: int = 0
     occupancy_buckets: Dict[int, int] = field(default_factory=dict)
 
     @classmethod
@@ -106,7 +107,7 @@ class LoadReport:
             num_batches=occupancy.count,
             family_span_mean=span.mean if span.count else 1.0,
             family_span_max=span.max if span.count else 1.0,
-            ragged_packs=int(telemetry.count("ragged.packs")),
+            stacked_pairs=int(telemetry.count("stagedelay.stacked_pairs")),
             occupancy_buckets=dict(occupancy.buckets),
         )
 
@@ -130,7 +131,7 @@ class LoadReport:
             "num_batches": self.num_batches,
             "family_span_mean": self.family_span_mean,
             "family_span_max": self.family_span_max,
-            "ragged_packs": self.ragged_packs,
+            "stacked_pairs": self.stacked_pairs,
             "occupancy_buckets": {
                 str(k): v for k, v in sorted(self.occupancy_buckets.items())
             },

@@ -35,8 +35,11 @@ only survive on fork-based platforms).
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
+from contextlib import ExitStack
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -176,6 +179,10 @@ class WaferScreenResult:
         rejected: Die index -> the pre-flight
             :class:`~repro.analysis.diagnostics.DiagnosticReport` that
             disqualified it, for dies rejected before dispatch.
+        failed: Indices of sharded dies whose worker process died
+            while screening them (their chunk failed twice, see
+            :meth:`WaferScreeningEngine._screen_sharded`); like rejected
+            dies they keep a placeholder slot in ``per_die``.
         telemetry: Merged telemetry snapshot (parent + every worker).
         wall_time: Wall-clock seconds of the whole screen.
         workers: Worker processes used (1 = serial in-process).
@@ -183,6 +190,7 @@ class WaferScreenResult:
 
     per_die: List[FlowMetrics] = field(default_factory=list)
     rejected: Dict[int, DiagnosticReport] = field(default_factory=dict)
+    failed: List[int] = field(default_factory=list)
     telemetry: Dict[str, Dict[str, float]] = field(default_factory=dict)
     wall_time: float = 0.0
     workers: int = 1
@@ -213,6 +221,9 @@ class WaferScreenResult:
 # ----------------------------------------------------------------------
 # Worker-side machinery (module level so it pickles by reference)
 # ----------------------------------------------------------------------
+#: ``(die index, die, measurement seed)`` triples, one worker task's worth.
+_Chunk = List[Tuple[int, DiePopulation, int]]
+
 _WORKER_FLOW: Optional[ScreeningFlow] = None
 
 
@@ -248,9 +259,7 @@ def _worker_init(
     )
 
 
-def _screen_chunk(
-    chunk: List[Tuple[int, DiePopulation, int]],
-) -> List[Tuple[int, FlowMetrics]]:
+def _screen_chunk(chunk: _Chunk) -> List[Tuple[int, FlowMetrics]]:
     """Screen a chunk of dies; returns ``(index, metrics)`` pairs."""
     return [
         (index, _WORKER_FLOW.screen_die(die, measure_seed=seed))
@@ -327,11 +336,7 @@ class WaferScreeningEngine:
             self._flow = ScreeningFlow(**self._flow_kwargs)
         return self._flow
 
-    def _chunks(
-        self,
-        items: List[Tuple[int, DiePopulation, int]],
-        workers: int,
-    ) -> List[List[Tuple[int, DiePopulation, int]]]:
+    def _chunks(self, items: _Chunk, workers: int) -> List[_Chunk]:
         size = self.chunk_size or max(1, -(-len(items) // (workers * 4)))
         return [items[k:k + size] for k in range(0, len(items), size)]
 
@@ -372,13 +377,15 @@ class WaferScreeningEngine:
         process attribution of the telemetry change.  Dies the
         pre-flight check rejects are dropped before dispatch -- on the
         serial path and the sharded path alike -- and keep a placeholder
-        slot in ``per_die``.
+        slot in ``per_die``, as do dies of a sharded chunk that failed
+        (:attr:`WaferScreenResult.failed`).
         """
         if workers < 1:
             raise ValueError("workers must be positive")
         start = time.perf_counter()
         tele = Telemetry()
         rejected: Dict[int, DiagnosticReport] = {}
+        failed: List[int] = []
         with use_telemetry(tele):
             flow = self.flow  # characterize (cached) before any fork
             items = [
@@ -393,13 +400,16 @@ class WaferScreeningEngine:
                     for i, die, seed in items
                 }
             else:
-                indexed = self._screen_sharded(flow, items, workers, tele)
-            for i in rejected:
+                indexed = self._screen_sharded(
+                    flow, items, workers, tele, failed
+                )
+            for i in [*rejected, *failed]:
                 indexed[i] = FlowMetrics(num_tsvs=len(wafer.dies[i]))
         get_telemetry().merge(tele)
         return WaferScreenResult(
             per_die=[indexed[i] for i in range(len(wafer))],
             rejected=rejected,
+            failed=sorted(failed),
             telemetry=tele.snapshot(),
             wall_time=time.perf_counter() - start,
             workers=workers,
@@ -408,10 +418,23 @@ class WaferScreeningEngine:
     def _screen_sharded(
         self,
         flow: ScreeningFlow,
-        items: List[Tuple[int, DiePopulation, int]],
+        items: _Chunk,
         workers: int,
         tele: Telemetry,
+        failed: List[int],
     ) -> Dict[int, FlowMetrics]:
+        """Screen ``items`` across a process pool, in chunks.
+
+        A worker process that dies breaks the whole pool, so every
+        chunk still in it is re-run in a one-worker pool of its own,
+        ``workers`` pools at a time; a chunk whose worker dies there
+        too is re-run die by die the same way.  A die whose worker
+        dies alone does not fail the screen: it lands in ``failed`` and
+        the ``wafer.dies_failed`` counter, and every other die's
+        results are kept.  Each retry pays one pool start-up per chunk
+        (then per die), so a crash costs a few pool start-ups per
+        ``workers`` chunks it took down.
+        """
         chunks = self._chunks(items, workers)
         indexed: Dict[int, FlowMetrics] = {}
         cascade_state = None
@@ -424,16 +447,48 @@ class WaferScreeningEngine:
         shared_cache = (
             current if isinstance(current, PersistentSolveCache) else None
         )
-        with process_pool(
-            workers, _worker_init,
-            (self._flow_kwargs, flow.bands, cascade_state, shared_cache),
-        ) as pool:
-            futures = [
-                pool.submit(traced, _screen_chunk, chunk) for chunk in chunks
-            ]
-            for future in futures:
+        initargs = (self._flow_kwargs, flow.bands, cascade_state, shared_cache)
+
+        def collect(future: Future[Any]) -> bool:
+            """Fold one chunk's results in; False when its pool broke."""
+            try:
                 results, snapshot = future.result()
-                tele.merge(snapshot)
-                for index, metrics in results:
-                    indexed[index] = metrics
+            except BrokenProcessPool:
+                return False
+            tele.merge(snapshot)
+            for index, metrics in results:
+                indexed[index] = metrics
+            return True
+
+        def isolated(parts: List[_Chunk]) -> List[_Chunk]:
+            """Re-run each part in a one-worker pool; those that die again."""
+            lost: List[_Chunk] = []
+            for start in range(0, len(parts), workers):
+                batch = parts[start:start + workers]
+                with ExitStack() as stack:
+                    futures = [
+                        stack.enter_context(
+                            process_pool(1, _worker_init, initargs)
+                        ).submit(traced, _screen_chunk, part)
+                        for part in batch
+                    ]
+                    lost.extend(
+                        part for part, future in zip(batch, futures)
+                        if not collect(future)
+                    )
+            return lost
+
+        with process_pool(workers, _worker_init, initargs) as pool:
+            submitted = [
+                (chunk, pool.submit(traced, _screen_chunk, chunk))
+                for chunk in chunks
+            ]
+            broken = [
+                chunk for chunk, future in submitted if not collect(future)
+            ]
+        if broken:
+            dies = [[item] for chunk in isolated(broken) for item in chunk]
+            for (index, _, _), in isolated(dies):
+                failed.append(index)
+                tele.incr("wafer.dies_failed")
         return indexed

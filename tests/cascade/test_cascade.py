@@ -158,6 +158,43 @@ class TestClassifyDie:
         assert one.die_fingerprint == same.die_fingerprint
         assert one.die_fingerprint != other.die_fingerprint
 
+    def test_breadth_first_die_equals_one_tsv_routing(self, cascade_flow):
+        """``classify_die`` batches each stage's measurements per supply;
+        decisions, measurement counts, escalation telemetry and solve-
+        cache accounting are those of routing every TSV alone."""
+        from repro.spice.cache import SolveCache, use_cache
+        from repro.telemetry import use_telemetry
+        from repro.workloads.generator import DefectStatistics, DiePopulation
+
+        die = DiePopulation(
+            num_tsvs=16,
+            stats=DefectStatistics(void_rate=0.2, pinhole_rate=0.2),
+            seed=5,
+        )
+        cascade = cascade_flow.cascade
+        with use_cache(SolveCache()) as alone_cache, \
+                use_telemetry() as alone_tele:
+            alone = [
+                cascade.classify(rec.tsv, rec.index, seed=7 + 31 * rec.index)
+                for rec in die
+            ]
+        with use_cache(SolveCache()) as die_cache, use_telemetry() as die_tele:
+            decision = cascade.classify_die(die, base_seed=7)
+        assert any(d.stage > 0 for d in alone)
+        assert [d.as_dict() for d in decision.tsv_decisions] == \
+            [d.as_dict() for d in alone]
+        assert [d.stage_measurements for d in decision.tsv_decisions] == \
+            [d.stage_measurements for d in alone]
+        assert (die_cache.hits, die_cache.misses) == \
+            (alone_cache.hits, alone_cache.misses)
+        for name, count in alone_tele.counters.items():
+            if name.startswith("cascade."):
+                assert die_tele.count(name) == count, name
+        # Breadth-first: no more stacked pairs than one per structure
+        # per (stage, supply) batch, fewer than TSV-at-a-time routing.
+        assert die_tele.count("stagedelay.stacked_pairs") < \
+            alone_tele.count("stagedelay.stacked_pairs")
+
     def test_preflight_marks_the_die_record(self, cascade_flow):
         decision = cascade_flow.cascade.classify_die(
             [TsvRecord(0, Tsv())], base_seed=7, preflight_warned=True
@@ -215,3 +252,50 @@ class TestState:
         state = CascadeState()
         assert state.bands == {}
         assert state.calibration is None
+
+
+class TestCalibrationStacking:
+    def test_table_equals_scalar_probe_by_probe(self):
+        """``calibration()`` measures every probe of a (stage, supply) in
+        one stacked batch; each entry equals the one-probe-at-a-time
+        scalar ``delta_t`` it replaces, value for value (NaN included)."""
+        import math
+
+        import numpy as np
+
+        from repro.spice.cache import SolveCache, use_cache
+
+        coarse = spec("stagedelay", timestep=40e-12)
+        with use_cache(SolveCache()):
+            cascade = CascadeScreen(
+                stage0="analytic",
+                config=CascadeConfig(
+                    escalation=(coarse,), stage_characterization_samples=16
+                ),
+                voltages=VOLTAGES,
+                variation=ProcessVariation(),
+                characterization_samples=16,
+                seed=FLOW_KWARGS["seed"],
+                measurement_variation=None,
+            )
+            table = cascade.calibration()
+
+        def scalar_u(stage, vdd, tsv):
+            try:
+                dt = cascade.engine(stage, vdd).delta_t(tsv)
+            except RuntimeError:
+                return math.nan
+            fit = cascade.stage_band(stage, vdd).fit
+            sigma = fit.sigma if fit.sigma > 0.0 else 1.0
+            return (dt - fit.center) / sigma if math.isfinite(dt) else math.nan
+
+        signatures = cascade._signatures
+        assert [c.name for c in table.curves] == list(signatures)
+        for curve in table.curves:
+            want = [
+                [[scalar_u(stage, vdd, tsv) for vdd in VOLTAGES]
+                 for stage in range(cascade.num_stages)]
+                for tsv in signatures[curve.name]
+            ]
+            assert np.array_equal(np.array(curve.points), np.array(want),
+                                  equal_nan=True), curve.name

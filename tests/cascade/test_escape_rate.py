@@ -136,7 +136,7 @@ def test_top_stage_verdicts_are_oracle_verdicts(
             tsv = pop[tsv_decision.index].tsv
             oracle_flag = False
             for vdd in VOLTAGES:
-                delta_t = oracle_flow._measure(tsv, vdd, seed=0)
+                (delta_t,) = oracle_flow._measure(vdd, [(tsv, 0)])
                 if not math.isfinite(delta_t):
                     oracle_flag = True
                     break

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engines import StageDelayEngine
 from repro.core.segments import RingOscillatorConfig
-from repro.core.tsv import Leakage, ResistiveOpen, Tsv
+from repro.core.tsv import Leakage, ResistiveOpen, Tsv, TsvParameters
 from repro.spice.montecarlo import ProcessVariation
 from repro.spice.waveform import NoOscillationError
 
@@ -204,10 +204,37 @@ class TestFamilyKeyPartition:
         assert engine.family_key(request) == engine.batch_key(request)
 
 
-class TestFamilyPackedMeasureBatch:
-    """Cross-topology family packing == serial measurement, bit for bit."""
+def count_batched_transients(monkeypatch):
+    """Record the corner count of every ``BatchedSimulation.transient``."""
+    from repro.spice.batch import BatchedSimulation
 
-    def test_mixed_faults_pack_and_match_serial(self):
+    corners = []
+    original = BatchedSimulation.transient
+
+    def counting(sim, *args, **kwargs):
+        corners.append(sim.num_corners)
+        return original(sim, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedSimulation, "transient", counting)
+    return corners
+
+
+def same_results(got, want):
+    """Bit-identical DeltaT and samples (NaN equal to NaN)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.delta_t, b.delta_t, equal_nan=True)
+        assert a.vdd == b.vdd and a.seed == b.seed and a.m == b.m
+        if b.samples is None:
+            assert a.samples is None
+        else:
+            assert np.array_equal(a.samples, b.samples, equal_nan=True)
+
+
+class TestFamilyPackedMeasureBatch:
+    """Value-stacked family batches == serial measurement, bit for bit."""
+
+    def test_mixed_faults_pack_and_match_serial(self, monkeypatch):
         from repro.core.engines.base import MeasurementRequest
         from repro.spice.cache import cache_disabled
         from repro.telemetry import use_telemetry
@@ -220,27 +247,29 @@ class TestFamilyPackedMeasureBatch:
             )
             for tsv in (
                 Tsv(),
+                Tsv(params=Tsv().params.scaled(1.1)),
                 Tsv(fault=Leakage(5e4)),
+                Tsv(fault=Leakage(8e4)),
                 Tsv(fault=ResistiveOpen(2e3)),
+                Tsv(fault=ResistiveOpen(5e3, x=0.3)),
             )
             for seed in (1, 2)
         ]
         with cache_disabled():
             serial = [engine.measure(r) for r in requests]
+            corners = count_batched_transients(monkeypatch)
             with use_telemetry() as tele:
                 batched = engine.measure_batch(requests)
-        assert len(batched) == len(serial)
-        for got, want in zip(batched, serial):
-            assert got.delta_t == want.delta_t
-            assert got.vdd == want.vdd
-            np.testing.assert_array_equal(got.samples, want.samples)
-        # The equality must have been earned through one ragged pack
-        # spanning all three exact groups (2 sims per group: on/bypassed).
-        assert tele.count("ragged.packs") == 1
-        assert tele.histogram("ragged.pack_members").max == 6
-        assert tele.histogram("stagedelay.family_span").max == 3
+        same_results(batched, serial)
+        # The equality must have been earned through one on/bypassed
+        # pair per structure (fault-free, leak, open), each stacking the
+        # structure's four requests as corners -- not a ragged pack.
+        assert tele.count("stagedelay.stacked_pairs") == 3
+        assert corners == [4] * 6
+        assert tele.count("ragged.packs") == 0
+        assert tele.count("stagedelay.stack_fallbacks") == 0
 
-    def test_single_group_families_keep_the_concat_path(self):
+    def test_single_group_families_keep_the_concat_path(self, monkeypatch):
         from repro.core.engines.base import MeasurementRequest
         from repro.spice.cache import cache_disabled
         from repro.telemetry import use_telemetry
@@ -253,7 +282,164 @@ class TestFamilyPackedMeasureBatch:
             )
             for seed in (1, 2)
         ]
-        with cache_disabled(), use_telemetry() as tele:
-            engine.measure_batch(requests)
+        with cache_disabled():
+            corners = count_batched_transients(monkeypatch)
+            with use_telemetry() as tele:
+                engine.measure_batch(requests)
         assert tele.count("ragged.packs") == 0
-        assert tele.histogram("stagedelay.family_span").max == 1
+        assert tele.count("stagedelay.stacked_pairs") == 1
+        assert corners == [2, 2]
+
+
+#: A TSV capacitance no other element of the segment circuit carries:
+#: the forced step failure below fires only in systems simulating it.
+POISON_CAP = 61e-15
+
+
+class TestStackedMeasureBatch:
+    """Every fault kind, both supplies: stacked == one-by-one, bit for bit."""
+
+    TSVS = (
+        Tsv(),
+        Tsv(params=Tsv().params.scaled(0.85)),
+        Tsv(params=Tsv().params.scaled(1.15)),
+        Tsv(fault=ResistiveOpen(1e3, x=0.5)),
+        Tsv(fault=ResistiveOpen(8e3, x=0.2)),
+        Tsv(fault=ResistiveOpen(float("inf"), x=0.7)),
+        Tsv(fault=Leakage(5e4)),
+        Tsv(fault=Leakage(2e3)),
+        Tsv(fault=Leakage(300.0)),  # below the oscillation-stop threshold
+    )
+
+    @pytest.mark.parametrize("vdd", [1.1, 0.8])
+    def test_every_fault_kind_matches_delta_t(self, vdd, monkeypatch):
+        from repro.core.engines.base import MeasurementRequest
+        from repro.spice.cache import cache_disabled
+        from repro.telemetry import use_telemetry
+
+        engine = StageDelayEngine(timestep=40e-12)
+        requests = [MeasurementRequest(tsv=tsv, vdd=vdd) for tsv in self.TSVS]
+        with cache_disabled():
+            corners = count_batched_transients(monkeypatch)
+            with use_telemetry() as tele:
+                stacked = engine.measure_batch(requests)
+            rebound = engine.at_vdd(vdd)
+            serial = []
+            for tsv in self.TSVS:
+                try:
+                    serial.append(rebound.delta_t(tsv))
+                except RuntimeError:
+                    serial.append(math.nan)
+        got = np.array([r.delta_t for r in stacked])
+        assert np.array_equal(got, np.array(serial), equal_nan=True)
+        assert math.isnan(got[-1]) and np.isfinite(got[:-1]).all()
+        assert tele.count("stagedelay.stacked_pairs") == 3
+        assert corners == [3] * 6
+
+    @pytest.mark.parametrize("vdd", [1.1, 0.8])
+    def test_nominal_and_sampled_mix_matches_measure(self, vdd):
+        from repro.core.engines.base import MeasurementRequest
+        from repro.spice.cache import cache_disabled
+        from repro.telemetry import use_telemetry
+
+        engine = StageDelayEngine(timestep=40e-12)
+        requests = []
+        for k, tsv in enumerate(self.TSVS):
+            requests.append(MeasurementRequest(tsv=tsv, vdd=vdd, seed=k))
+            requests.append(MeasurementRequest(
+                tsv=tsv, vdd=vdd, seed=k, variation=ProcessVariation(),
+                num_samples=1,
+            ))
+        with cache_disabled():
+            with use_telemetry() as tele:
+                stacked = engine.measure_batch(requests)
+            serial = [engine.measure(r) for r in requests]
+        same_results(stacked, serial)
+        # Nominal and Monte Carlo requests never share a pair.
+        assert tele.count("stagedelay.stacked_pairs") == 6
+
+    def test_step_halving_falls_back_to_one_by_one(self, monkeypatch):
+        """A group in which one corner forces a halving is re-measured
+        member by member, and every member still equals its own serial
+        ``measure`` -- including the one whose serial run bisected."""
+        import repro.spice.stepper as stepper
+        from repro.core.engines.base import MeasurementRequest
+        from repro.spice.cache import cache_disabled
+        from repro.spice.mna import ConvergenceError
+        from repro.telemetry import use_telemetry
+
+        engine = StageDelayEngine(timestep=40e-12)
+        edge = 10 * engine.timestep
+        original = stepper._step
+
+        def forced(steppers, states, t_new, mats, use_trap, guesses):
+            # The full trapezoidal step onto ``edge`` fails for any
+            # system carrying the poisoned capacitance; its backward-
+            # Euler half steps go through.
+            if use_trap and abs(t_new - edge) < engine.timestep / 4 and any(
+                np.any(s.cap_c == POISON_CAP) for s in steppers
+            ):
+                raise ConvergenceError("forced step failure")
+            return original(steppers, states, t_new, mats, use_trap, guesses)
+
+        monkeypatch.setattr(stepper, "_step", forced)
+        poisoned = Tsv(params=TsvParameters(capacitance=POISON_CAP))
+        requests = [
+            MeasurementRequest(tsv=tsv)
+            for tsv in (Tsv(), poisoned, Tsv(params=Tsv().params.scaled(1.1)))
+        ]
+        with cache_disabled():
+            with use_telemetry() as tele:
+                serial = [engine.measure(r) for r in requests]
+            assert tele.count("step_halvings") > 0
+            with use_telemetry() as tele:
+                stacked = engine.measure_batch(requests)
+        assert tele.count("stagedelay.stack_fallbacks") == 1
+        assert tele.count("stagedelay.stacked_pairs") == 1
+        same_results(stacked, serial)
+
+    def test_dc_failure_falls_back_to_one_by_one(self, monkeypatch):
+        """A group in which one member's first DC Newton fails is
+        re-measured member by member: the gmin ladder restarts every
+        corner of a stacked run, so only the failing member may take it,
+        exactly as its own serial ``measure`` does."""
+        import repro.spice.stepper as stepper
+        from repro.core.engines.base import MeasurementRequest
+        from repro.spice.cache import cache_disabled
+        from repro.spice.mna import ConvergenceError
+        from repro.telemetry import use_telemetry
+
+        engine = StageDelayEngine(timestep=40e-12)
+        poison_g = 1.0 / 4321.0
+        original = stepper.newton_iterate
+        ladders = []
+
+        def forced(systems, options, label=""):
+            # The open resistor is the only conductance between the pad
+            # and the TSV's bottom node, so its -g entry marks a system
+            # that simulates the poisoned open.
+            poisoned = any(np.any(s.a_base == -poison_g) for s in systems)
+            if poisoned and label == "dc":
+                raise ConvergenceError("forced DC failure")
+            if label.startswith("dc gmin"):
+                ladders.append(label)
+            return original(systems, options, label=label)
+
+        monkeypatch.setattr(stepper, "newton_iterate", forced)
+        requests = [
+            MeasurementRequest(tsv=Tsv(fault=ResistiveOpen(r, x=0.5)))
+            for r in (2e3, 4321.0, 8e3)
+        ]
+        with cache_disabled():
+            serial = [engine.measure(r) for r in requests]
+            serial_ladders = list(ladders)
+            assert serial_ladders  # the poisoned member's DC took the ladder
+            ladders.clear()
+            with use_telemetry() as tele:
+                stacked = engine.measure_batch(requests)
+        assert tele.count("stagedelay.stack_fallbacks") == 1
+        assert tele.count("stagedelay.stacked_pairs") == 1
+        # The stacked pair never climbed the ladder; only the poisoned
+        # member's own one-by-one runs did, as in the serial pass.
+        assert ladders == serial_ladders
+        same_results(stacked, serial)

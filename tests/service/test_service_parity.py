@@ -171,7 +171,7 @@ class TestFlowParity:
         )
         tsvs = [Tsv(), Tsv(fault=ResistiveOpen(2e3, 0.4))]
         flow_values = [
-            flow._measure(tsv, vdd, seed=seed)
+            flow._measure(vdd, [(tsv, seed)])[0]
             for tsv in tsvs for seed in range(3)
         ]
 
@@ -233,10 +233,14 @@ class TestCoalescePolicies:
         for response, expected in zip(responses, serial):
             assert response.delta_t == expected.delta_t
             np.testing.assert_array_equal(response.samples, expected.samples)
-        # One family batch spanning all three exact groups.
+        # One family batch spanning all three exact groups, run as one
+        # value-stacked on/bypassed pair per structure (fault-free, leak,
+        # open) -- no ragged pack, no one-by-one fallback.
         assert snapshot["histograms"]["service.family_span"]["max"] == 3
         assert snapshot["histograms"]["service.batch_occupancy"]["max"] == 6
-        assert snapshot["counters"]["ragged.packs"] >= 1
+        assert snapshot["counters"]["stagedelay.stacked_pairs"] == 3
+        assert snapshot["counters"].get("ragged.packs", 0) == 0
+        assert snapshot["counters"].get("stagedelay.stack_fallbacks", 0) == 0
 
     def test_exact_policy_never_spans_exact_groups(self):
         responses, snapshot = self.run_policy(COARSE.build(), "exact")

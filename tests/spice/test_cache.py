@@ -12,6 +12,8 @@ from repro.spice.cache import (
     fingerprint,
     get_cache,
     memoize,
+    memoize_many,
+    structure_fingerprint,
     use_cache,
 )
 from repro.spice.montecarlo import ProcessVariation
@@ -80,6 +82,83 @@ class TestCircuitFingerprint:
     def test_circuit_usable_as_key_part(self):
         assert fingerprint(rc_circuit(), 1.1) == fingerprint(rc_circuit(), 1.1)
         assert fingerprint(rc_circuit(), 1.1) != fingerprint(rc_circuit(), 0.8)
+
+
+class TestStructureFingerprint:
+    def test_masked_values_do_not_split(self):
+        assert structure_fingerprint(rc_circuit(1000.0), ["r1"]) == \
+            structure_fingerprint(rc_circuit(2000.0), ["r1"])
+
+    def test_unmasked_values_split(self):
+        assert structure_fingerprint(rc_circuit(1000.0), ["c1"]) != \
+            structure_fingerprint(rc_circuit(2000.0), ["c1"])
+
+    def test_none_masks_every_value(self):
+        a = rc_circuit(1000.0)
+        b = Circuit("rc")
+        b.add_vsource("vs", "a", GROUND, DC(0.5))
+        b.add_resistor("r1", "a", "b", 7.0)
+        b.add_capacitor("c1", "b", GROUND, 3e-12)
+        assert structure_fingerprint(a) == structure_fingerprint(b)
+        assert circuit_fingerprint(a) != circuit_fingerprint(b)
+
+    def test_wiring_splits(self):
+        a = rc_circuit()
+        b = rc_circuit()
+        b.add_resistor("r2", "b", GROUND, 1e6)
+        assert structure_fingerprint(a) != structure_fingerprint(b)
+
+    def test_differs_from_circuit_fingerprint(self):
+        assert structure_fingerprint(rc_circuit(), []) != \
+            circuit_fingerprint(rc_circuit())
+
+
+class TestMemoizeMany:
+    def test_accounts_like_sequential_memoize(self):
+        """Hits, misses, stores and values match one ``memoize`` per key
+        in order -- a key repeated after its first miss is a hit."""
+        keys = ["a", "b", "a", "c", "b"]
+        sequential = SolveCache()
+        sequential.store("c", "C")
+        with use_telemetry() as want:
+            expected = [sequential.memoize(k, lambda k=k: k.upper())
+                        for k in keys]
+        batched = SolveCache()
+        batched.store("c", "C")
+        asked = []
+
+        def compute(positions):
+            asked.append(positions)
+            return [keys[p].upper() for p in positions]
+
+        with use_telemetry() as got:
+            values = batched.memoize_many(keys, compute)
+        assert values == expected
+        assert asked == [[0, 1]]
+        assert (batched.hits, batched.misses) == \
+            (sequential.hits, sequential.misses) == (3, 2)
+        assert got.counters == want.counters
+        assert sorted(batched._store) == ["a", "b", "c"]
+
+    def test_all_hits_skip_compute(self):
+        cache = SolveCache()
+        cache.store("a", 1)
+
+        def compute(positions):
+            raise AssertionError("nothing to compute")
+
+        assert cache.memoize_many(["a", "a"], compute) == [1, 1]
+
+    def test_disabled_cache_computes_everything_at_once(self):
+        asked = []
+
+        def compute(positions):
+            asked.append(positions)
+            return [10 * p for p in positions]
+
+        with cache_disabled():
+            assert memoize_many(["a", "a", "b"], compute) == [0, 10, 20]
+        assert asked == [[0, 1, 2]]
 
 
 class TestSolveCache:

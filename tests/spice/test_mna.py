@@ -112,12 +112,22 @@ class TestSourceStamping:
 
 class TestTransientRobustness:
     def test_local_bisection_rescues_sharp_edges(self):
-        """A near-instant source edge forces the per-step retry path."""
-        c = Circuit()
+        """A near-instant source edge forces the per-step retry path.
+
+        The circuit is linear, so the default Newton budget converges
+        every step; a two-iteration budget with 50 mV damping cannot
+        follow the edge in one step, only in bisected half steps.
+        """
         from repro.spice import Step
+        from repro.telemetry import use_telemetry
+
+        c = Circuit()
         c.add_vsource("vin", "in", GROUND, Step(0.0, 1.1, t0=0.5e-9,
                                                 rise=1e-15))
         c.add_resistor("r1", "in", "out", 1000.0)
         c.add_capacitor("c1", "out", GROUND, 50e-15)
-        res = transient(c, 1e-9, 10e-12)
+        options = NewtonOptions(max_iterations=2, damping=0.05)
+        with use_telemetry() as tele:
+            res = transient(c, 1e-9, 10e-12, options=options)
+        assert tele.count("step_halvings") > 0
         assert res["out"][-1] == pytest.approx(1.1, abs=0.01)

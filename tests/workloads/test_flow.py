@@ -27,7 +27,7 @@ class TestCharacterization:
 
     def test_nominal_measurement_inside_band(self, flow):
         for vdd in flow.voltages:
-            dt = flow._measure(Tsv(), vdd, seed=123)
+            (dt,) = flow._measure(vdd, [(Tsv(), 123)])
             assert flow.band(vdd).contains(dt)
 
 

@@ -204,3 +204,49 @@ class TestPreflightRejection:
         assert gated.dies_rejected == 0
         assert [m.as_row() for m in gated.per_die] == \
             [m.as_row() for m in ungated.per_die]
+
+
+#: Die whose worker process exits mid-chunk in the dead-worker test.
+DOOMED_DIE = 2
+
+
+def _doomed_screen_chunk(chunk):
+    """``_screen_chunk`` that kills its worker on reaching ``DOOMED_DIE``.
+
+    Installed by monkeypatch before the pool forks, so worker processes
+    resolve ``wafer._screen_chunk`` to this function.
+    """
+    import os
+
+    from repro.workloads import wafer as wafer_module
+
+    out = []
+    for index, die, seed in chunk:
+        if index == DOOMED_DIE:
+            os._exit(3)
+        out.append(
+            (index, wafer_module._WORKER_FLOW.screen_die(die, measure_seed=seed))
+        )
+    return out
+
+
+class TestDeadWorker:
+    def test_dead_worker_fails_only_its_die(self, wafer, monkeypatch):
+        import multiprocessing
+
+        from repro.workloads import wafer as wafer_module
+
+        serial = make_engine().screen(wafer, workers=1)
+        monkeypatch.setattr(wafer_module, "_screen_chunk",
+                            _doomed_screen_chunk)
+        result = make_engine(chunk_size=2).screen(wafer, workers=2)
+        # Chunks of two: die 3 shares the doomed chunk, and is kept by
+        # the die-by-die retry.
+        assert result.failed == [2]
+        assert result.counter("wafer.dies_failed") == 1
+        assert len(result.per_die) == len(wafer)
+        assert result.per_die[2].num_tsvs == 12
+        assert result.per_die[2].measurements == 0
+        for i in (0, 1, 3, 4):
+            assert result.per_die[i].as_row() == serial.per_die[i].as_row()
+        assert multiprocessing.active_children() == []
