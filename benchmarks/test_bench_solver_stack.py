@@ -5,7 +5,9 @@ StampPlan / linalg / stepper stack.  It times the workhorse measurement
 of the Monte Carlo experiments (``StageDelayEngine.delta_t_mc`` with a
 1 kOhm resistive open, the Fig. 7 configuration) and reports wall time,
 per-corner-step throughput, and the condensed-space dimensions the
-transient loop actually solves.
+transient loop actually solves.  The throughput counts the steps the
+two transients took: each stops once every corner's delays are read,
+so it is the window's steps minus ``spice.steps_skipped``.
 
 Environment knobs:
 
@@ -24,6 +26,7 @@ from repro.core.engines import StageDelayEngine
 from repro.core.tsv import ResistiveOpen, Tsv
 from repro.spice.mna import MnaSystem
 from repro.spice.montecarlo import ProcessVariation
+from repro.telemetry import use_telemetry
 
 FAULT = Tsv(fault=ResistiveOpen(1000.0, 0.5))
 
@@ -37,25 +40,28 @@ def test_bench_mc_step_loop_wall_time():
     engine = StageDelayEngine(timestep=bench_timestep())
     variation = ProcessVariation()
 
-    t0 = time.perf_counter()
-    samples = engine.delta_t_mc(FAULT, variation, corners, seed=1)
-    elapsed = time.perf_counter() - t0
+    with use_telemetry() as tele:
+        t0 = time.perf_counter()
+        samples = engine.delta_t_mc(FAULT, variation, corners, seed=1)
+        elapsed = time.perf_counter() - t0
 
-    # Step count: two batched transients (TSV in loop / bypassed) over
-    # the same window.
-    steps = 2 * int(round(engine.stop_time() / engine.timestep))
+    # Two batched transients (TSV in loop / bypassed) over the same
+    # window; each stops early once its delays are read.
+    window = 2 * int(round(engine.stop_time() / engine.timestep))
+    steps = window - int(tele.count("spice.steps_skipped"))
     circuit, _ = engine._segment_circuit(FAULT, bypassed=False)
     plan = MnaSystem(circuit).plan
     corner_steps = corners * steps
 
     table = Table(
-        ["corners", "steps/corner", "wall time", "corner-steps/s",
-         "full size", "reduced dim", "condensed dim"],
+        ["corners", "steps/corner", "window steps", "wall time",
+         "corner-steps/s", "full size", "reduced dim", "condensed dim"],
         title="Solver stack: batched MC step-loop throughput",
     )
     table.add_row([
         corners,
         steps,
+        window,
         f"{elapsed:.2f} s",
         format_si(corner_steps / elapsed, ""),
         plan.size,
@@ -68,5 +74,6 @@ def test_bench_mc_step_loop_wall_time():
     # and the condensed space really is smaller than the classical
     # ground-reduced system (that shrink is where the speedup lives).
     assert np.isfinite(samples).mean() > 0.5
+    assert 0 < steps < window
     assert plan.condensed.dim < plan.reduced.dim
     assert elapsed > 0

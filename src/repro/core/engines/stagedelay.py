@@ -47,6 +47,14 @@ def _element_value(circuit: Circuit, name: str) -> float:
     raise KeyError(f"no resistor or capacitor named {name!r} in circuit")
 
 
+def _crossing_mask(traces: np.ndarray, level: float, direction: str) -> np.ndarray:
+    """``(..., T - 1)`` mask of the sample pairs crossing ``level``."""
+    below = traces < level
+    if direction == "rise":
+        return below[..., :-1] & ~below[..., 1:]
+    return ~below[..., :-1] & below[..., 1:]
+
+
 def _first_crossings_after(
     time: np.ndarray,
     traces: np.ndarray,
@@ -61,11 +69,7 @@ def _first_crossings_after(
     stacked ``(S, T)`` voltage array and the return value is ``(S,)``
     with NaN where a corner never crosses (stuck path).
     """
-    below = traces < level
-    if direction == "rise":
-        mask = below[:, :-1] & ~below[:, 1:]
-    else:
-        mask = ~below[:, :-1] & below[:, 1:]
+    mask = _crossing_mask(traces, level, direction)
     v1 = traces[:, :-1]
     v2 = traces[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -74,6 +78,68 @@ def _first_crossings_after(
     cand = np.where(mask & (t_cross >= t_min), t_cross, np.inf)
     first = cand.min(axis=1)
     return np.where(np.isfinite(first), first, np.nan)
+
+
+class _CrossingWatch:
+    """Early-stop predicate: every delay the extraction reads is in.
+
+    A stage transient's delays are the first 50% ``din`` crossings
+    (corner 0) and, per corner and input edge, the first output
+    crossing of the matching direction at or after it.  Called after
+    each accepted step, the watch reports True once every corner has
+    both output crossings, so the time loop stops there: cutting the
+    traces after that sample leaves each crossing the extraction reads
+    -- and so each delay -- bit-identical.  A corner that never crosses
+    keeps the loop running over the full window.
+
+    Each step reads only the newest sample pair, through the arithmetic
+    of :func:`_first_crossings_after` and only where a trace switched:
+    O(S) per step.  (The step that finds an input edge also reads the
+    pair before, since a crossing there may still follow the edge.)
+    """
+
+    def __init__(self, level: float, out_node: str, inverting: bool):
+        self.level = level
+        self.out_node = out_node
+        out_edges = ("fall", "rise") if inverting else ("rise", "fall")
+        #: Per input edge: (input direction, output direction).
+        self.edges = tuple(zip(("rise", "fall"), out_edges))
+        self.t_in: List[Optional[float]] = [None, None]
+        self.crossed: List[np.ndarray] = [np.zeros(0, bool)] * 2
+
+    def __call__(
+        self, k: int, times: np.ndarray, traces: Dict[str, np.ndarray]
+    ) -> bool:
+        level = self.level
+        seg = slice(k - 1, k + 1)
+        din = np.atleast_2d(traces["din"])[:1, seg]
+        out = np.atleast_2d(traces[self.out_node])
+        done = True
+        for e, (edge_in, edge_out) in enumerate(self.edges):
+            t_in = self.t_in[e]
+            crossed = self.crossed[e]
+            if t_in is None:
+                if not _crossing_mask(din, level, edge_in).any():
+                    done = False
+                    continue
+                self.t_in[e] = t_in = float(_first_crossings_after(
+                    times[seg], din, level, edge_in, -np.inf
+                )[0])
+                # t_in >= t[k-1], so no output crossing before sample
+                # k - 2 can count.
+                back = slice(max(k - 2, 0), k + 1)
+                crossed = ~np.isnan(_first_crossings_after(
+                    times[back], out[:, back], level, edge_out, t_in
+                ))
+            elif not crossed.all() and _crossing_mask(
+                out[:, seg], level, edge_out
+            ).any():
+                crossed |= ~np.isnan(_first_crossings_after(
+                    times[seg], out[:, seg], level, edge_out, t_in
+                ))
+            self.crossed[e] = crossed
+            done = done and bool(crossed.all())
+        return done
 
 
 @register("stagedelay", "stage", "stage-delay")
@@ -190,14 +256,14 @@ class StageDelayEngine(Engine):
         self, circuit: Circuit, out_node: str, inverting: bool
     ) -> Tuple[float, float]:
         """(delay after input rise, delay after input fall) at 50%/50%."""
-        vdd = self.config.vdd
+        half = self.config.vdd / 2.0
         result = transient(
             circuit, self.stop_time(), self.timestep,
             record=["din", out_node],
+            done=_CrossingWatch(half, out_node, inverting),
         )
         win = result.waveform("din")
         wout = result.waveform(out_node)
-        half = vdd / 2.0
         rise_out = "fall" if inverting else "rise"
         fall_out = "rise" if inverting else "fall"
         d_rise = win.propagation_delay_to(wout, half, edge_in="rise",
@@ -284,10 +350,14 @@ class StageDelayEngine(Engine):
     def _circuit_delays(
         self, circuit: Circuit, params: BatchParameters, max_retries: int = 4
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-corner (tpLH, tpHL) arrays; NaN where the path is stuck."""
+        """Per-corner (tpLH, tpHL) arrays; NaN where the path is stuck.
+
+        The transient stops once every corner's delays are read.
+        """
         result = BatchedSimulation(circuit, params).transient(
             self.stop_time(), self.timestep, record=["din", "dout"],
             max_retries=max_retries,
+            done=_CrossingWatch(self.config.vdd / 2.0, "dout", False),
         )
         return self._delays_from_result(result)
 

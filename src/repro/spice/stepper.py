@@ -9,7 +9,9 @@ one (:class:`repro.spice.batch.BatchedSimulation`) and a ragged pack of
 mixed circuits (:class:`repro.spice.ragged.RaggedPack`) all call
 :func:`integrate`: a scalar run is a one-corner system, a batch is one
 system, and a pack is several.  None of them carries integrator logic
-of its own.
+of its own.  An optional ``done`` predicate ends the time loop once the
+caller has read what it needs; everything before the stop is
+bit-identical to the full run.
 
 All state is batched: the solution ``x`` is ``(S, size)`` in *full*
 coordinates (ground row included, pinned nodes held at their known
@@ -30,7 +32,7 @@ dimension.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +48,12 @@ CLAMP_G = 1e3
 _Companions = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: One system's integration state ``(x, vc, ic)``.
 _State = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Early-stop predicate of :func:`integrate`: ``done(k, times, traces)``
+#: with one node -> trace dict per system.
+DonePredicate = Callable[[int, np.ndarray, List[Dict[str, np.ndarray]]], bool]
+#: The one-system form the transient wrappers take: ``done(k, times,
+#: voltages)``.
+TraceDone = Callable[[int, np.ndarray, Dict[str, np.ndarray]], bool]
 
 
 def companion_geq(cap_c: np.ndarray, h: float, use_trap: bool) -> np.ndarray:
@@ -527,6 +535,7 @@ def integrate(
     timestep: float,
     method: str = "trap",
     max_retries: int = 4,
+    done: Optional[DonePredicate] = None,
 ) -> Tuple[np.ndarray, List[Dict[str, np.ndarray]]]:
     """Integrate one or more systems over one shared time loop.
 
@@ -546,10 +555,18 @@ def integrate(
         timestep: Fixed integration step in seconds.
         method: ``"trap"`` (default) or ``"be"``.
         max_retries: Depth of the step-bisection ladder.
+        done: Optional early-stop predicate, called after each accepted
+            step ``k`` but the last as ``done(k, times, traces)``; only
+            samples ``0 .. k`` of each trace are written yet.  When it
+            returns True the loop ends and the grid and every trace are
+            cut to ``k + 1`` samples.  The stop ends the whole call and
+            changes nothing before it, so each returned sample is
+            bit-identical to the same sample of the full run.
 
     Returns:
         ``(time, traces)``: the uniform grid ``0, h, ..., <= stop_time``
-        and, per system, ``(S, T)`` traces of the recorded nodes.
+        (or its first ``k + 1`` points after an early stop) and, per
+        system, ``(S, T)`` traces of the recorded nodes.
     """
     if method not in ("trap", "be"):
         raise ValueError(f"unknown integration method {method!r}")
@@ -594,5 +611,13 @@ def integrate(
         for (x, _, _), trace, ridx in zip(states, traces, record_idxs):
             for node, idx in ridx.items():
                 trace[node][:, k] = x[:, idx]
+        if done is not None and k < num_steps and done(k, times, traces):
+            get_telemetry().incr("spice.steps_skipped", num_steps - k)
+            times = times[:k + 1]
+            traces = [
+                {node: tr[:, :k + 1] for node, tr in trace.items()}
+                for trace in traces
+            ]
+            break
 
     return times, traces

@@ -29,7 +29,7 @@ from repro.spice.dc import solve_dc
 from repro.spice.mna import MnaSystem, NewtonOptions
 from repro.spice.netlist import Circuit
 from repro.spice.staticcheck import preflight_circuit
-from repro.spice.stepper import TransientStepper, integrate
+from repro.spice.stepper import TraceDone, TransientStepper, integrate
 from repro.spice.waveform import Waveform
 
 
@@ -58,6 +58,7 @@ def transient(
     options: Optional[NewtonOptions] = None,
     max_retries: int = 4,
     preflight: bool = True,
+    done: Optional[TraceDone] = None,
 ) -> TransientResult:
     """Run a transient analysis of ``circuit``.
 
@@ -77,10 +78,15 @@ def transient(
             structural singularities) with a named-element
             :class:`~repro.analysis.diagnostics.PreflightError` before
             any Newton iteration runs.
+        done: Optional early-stop predicate ``done(k, times, voltages)``,
+            called after each accepted step with the recorded 1-D traces
+            (samples ``0 .. k`` written); returning True ends the run
+            there (see :func:`repro.spice.stepper.integrate`).
 
     Returns:
         A :class:`TransientResult` with voltages sampled on the uniform
-        time grid ``0, h, 2h, ... <= stop_time``.
+        time grid ``0, h, 2h, ... <= stop_time``, cut after step ``k``
+        when ``done`` stopped the run.
     """
     system = MnaSystem(circuit, options)
     plan = system.plan
@@ -107,6 +113,11 @@ def transient(
     times, (traces,) = integrate(
         [stepper], [x[None, :]], [record_idx], stop_time, timestep,
         method=method, max_retries=max_retries,
+        done=None if done is None else (
+            lambda k, t, traces: done(
+                k, t, {node: tr[0] for node, tr in traces[0].items()}
+            )
+        ),
     )
     return TransientResult(
         time=times,

@@ -32,6 +32,9 @@ Counter names used by the stack (all optional -- absent means zero):
 ``newton_failures``        Solves that exhausted ``max_iterations``.
 ``step_retries``           Transient steps that failed and were retried.
 ``step_halvings``          Half-steps taken by the local bisection fallback.
+``spice.steps_skipped``    Window steps a transient's early-stop predicate
+                           left untaken (the stage-delay engine stops
+                           once every delay's crossing is in).
 ``batched_solves``         Stacked LAPACK solve calls of the Newton loop
                            (scalar analyses are stacks of one).
 ``cache_hits``             Solve-cache lookups served from memory.
@@ -408,6 +411,8 @@ for _name, _desc in [
     ("diag_suppressed.*", "emitted diagnostics a gate or allow-comment "
                           "let through"),
     ("measure.*", "measurement-envelope calls, per engine name"),
+    ("spice.steps_skipped", "window steps an early-stop predicate left "
+                            "untaken"),
     ("ragged.packs", "ragged cross-topology packs built"),
     ("ragged.bucket_solves", "dimension-bucketed stacked solves"),
     ("stagedelay.stacked_pairs", "on/bypassed pairs run for same-structure "

@@ -117,6 +117,13 @@ class UnregisteredEngine(NapEngine):
     engine_name = "testunregistered"
 
 
+@dataclass
+class LateEngine(NapEngine):
+    """Registered only after the worker processes forked."""
+
+    engine_name = "testlate"
+
+
 @pytest.fixture
 def test_engines():
     """Register the stub engines for the test, then scrub the registry."""
@@ -229,6 +236,43 @@ class TestProcessFailureSemantics:
         )
         assert responses[0].status is ResponseStatus.REJECTED
         assert "spec-resolvable" in responses[0].reason
+
+
+    def test_worker_that_cannot_rehydrate_its_spec(self, test_engines):
+        """A spec registered after the pool forked: the workers cannot
+        build it, so its batch answers FAILED naming the spec, and the
+        same workers go on serving later batches."""
+
+        async def scenario():
+            async with ScreeningService(
+                engine=NapEngine(), transport="process", num_workers=1,
+                batch_window_s=0.0,
+            ) as service:
+                registry.register(LateEngine.engine_name)(LateEngine)
+                late = await service.submit_many([
+                    request(seed=i, engine=registry.spec("testlate"))
+                    for i in range(2)
+                ])
+                later = await service.submit_many(
+                    [request(seed=i) for i in range(3)]
+                )
+            return late, later
+
+        try:
+            with use_telemetry() as telemetry:
+                late, later = asyncio.run(
+                    asyncio.wait_for(scenario(), timeout=60.0)
+                )
+        finally:
+            registry._REGISTRY.pop(LateEngine.engine_name, None)
+        for response in late:
+            assert response.status is ResponseStatus.FAILED
+            assert "testlate" in response.reason
+        assert all(r.status is ResponseStatus.OK for r in later)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["service.failed"] == 2
+        assert "service.pool_rebuilds" not in counters
+        assert multiprocessing.active_children() == []
 
 
 class TestProcessHammer:

@@ -177,6 +177,41 @@ class TestCorruptedStore:
         assert cache.memoize("k", lambda: 1.0) == 1.0
 
 
+class TestLockedOpen:
+    """A "database is locked" while opening is retried, then degrades."""
+
+    @staticmethod
+    def locked_opens(monkeypatch, failures):
+        real = PersistentSolveCache._open
+        calls = []
+
+        def flaky(self):
+            calls.append(1)
+            if len(calls) <= failures:
+                raise sqlite3.OperationalError("database is locked")
+            return real(self)
+
+        monkeypatch.setattr(PersistentSolveCache, "_open", flaky)
+        return calls
+
+    def test_transient_lock_is_retried(self, tmp_path, monkeypatch):
+        calls = self.locked_opens(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = PersistentSolveCache(str(tmp_path / "store.sqlite"))
+        assert not cache.degraded
+        assert len(calls) == 3
+        assert cache.memoize("k", lambda: 2.0) == 2.0
+        assert "k" in cache
+
+    def test_lock_that_persists_degrades(self, tmp_path, monkeypatch):
+        calls = self.locked_opens(monkeypatch, 10**6)
+        with pytest.warns(RuntimeWarning, match="database is locked"):
+            cache = PersistentSolveCache(str(tmp_path / "store.sqlite"))
+        assert cache.degraded
+        assert len(calls) == PersistentSolveCache._OPEN_ATTEMPTS
+
+
 class TestLifecycle:
     def test_pickles_as_path_and_reconnects(self, tmp_path):
         path = str(tmp_path / "pickled.sqlite")
